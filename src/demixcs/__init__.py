@@ -15,6 +15,7 @@ from .errors import (  # noqa: F401
     BudgetError,
     DemixError,
     DimensionError,
+    FormatError,
     NumericalError,
     SchemaError,
     ShapeError,

@@ -6,7 +6,8 @@ supply defaults which explicit flags override.  Every run writes a
 `run_manifest.txt` with the fully resolved configuration so outputs are
 attributable and byte-identical when rerun.
 
-Exit codes: 0 success, 1 computational error, 2 usage error.
+Exit codes: 0 success, 1 computational error (also an invalid sweep spec
+or an unreadable instance file), 2 usage error.
 """
 
 import sys
@@ -110,9 +111,11 @@ def parse_float_list(text, flag):
         if ":" in text:
             lo, hi, step = (float(p) for p in text.split(":"))
             count = int(round((hi - lo) / step)) + 1
+            if count < 1:
+                raise ValueError
             return tuple(round(lo + i * step, 12) for i in range(count))
         return tuple(float(p) for p in text.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse {flag} value '{text}'") from None
 
 

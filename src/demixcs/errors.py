@@ -33,5 +33,9 @@ class SchemaError(DemixError):
     """A table is missing columns required by the requested output."""
 
 
+class FormatError(DemixError):
+    """A file cannot be read or does not follow its format."""
+
+
 class UsageError(DemixError):
     """Malformed command line; maps to exit code 2."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .errors import DemixError, SchemaError
+from .errors import ArgumentError, DemixError, SchemaError
 from .models import build_family, gen_instance
 from .seeding import derive_seed
 from .solvers import (
@@ -35,6 +35,11 @@ STAB_COLUMNS = ("family", "n", "m", "s", "k", "solver", "eps_amp", "eps_ball",
 SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
+def _require_trials(trials):
+    if trials < 1:
+        raise ArgumentError(f"trials must be at least 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class PhaseTransitionSpec:
     """Grid of (s, k) cells; one matrix per cell, fresh instances per trial."""
@@ -53,6 +58,7 @@ class PhaseTransitionSpec:
     def __post_init__(self):
         if max(self.s_values) > self.n or max(self.k_values) > self.m:
             raise DemixError("sparsity grid exceeds model dimensions")
+        _require_trials(self.trials)
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class StabilitySpec:
         for name in self.solvers:
             if name not in SOLVER_NAMES:
                 raise DemixError(f"unknown solver '{name}'")
+        _require_trials(self.trials)
 
 
 @dataclass
@@ -110,12 +117,10 @@ def _gen_batch(model, s, k, setting, noise_amp, seeds):
     return insts, y
 
 
-def _pt_cell(spec, s_idx, k_idx):
+def _pt_cell(spec, model, s_idx, k_idx):
     s = int(spec.s_values[s_idx])
     k = int(spec.k_values[k_idx])
     try:
-        model_seed = derive_seed(spec.master_seed, (0, s_idx, k_idx))
-        model = build_family(spec.family, spec.n, spec.m, model_seed)
         trial_seeds = [derive_seed(spec.master_seed, (1, s_idx, k_idx, t))
                        for t in range(spec.trials)]
         insts, y = _gen_batch(model, s, k, spec.setting, 0.0, trial_seeds)
@@ -142,11 +147,18 @@ def run_phase_transition(spec, threads=1):
     """
     cells = [(si, ki) for ki in range(len(spec.k_values))
              for si in range(len(spec.s_values))]
+    # every model is built before any cell runs: a model that cannot be
+    # built is a spec error, and the per-cell catch is left to failures
+    # in drawing and solving
+    models = [build_family(spec.family, spec.n, spec.m,
+                           derive_seed(spec.master_seed, (0, si, ki)))
+              for si, ki in cells]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fractions = list(pool.map(lambda c: _pt_cell(spec, *c), cells))
+            fractions = list(pool.map(lambda model, c: _pt_cell(spec, model, *c),
+                                      models, cells))
     else:
-        fractions = [_pt_cell(spec, *c) for c in cells]
+        fractions = [_pt_cell(spec, model, *c) for model, c in zip(models, cells)]
     rows = []
     for (si, ki), frac in zip(cells, fractions):
         rows.append((spec.family, spec.n, spec.m, int(spec.s_values[si]),

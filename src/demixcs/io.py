@@ -9,7 +9,7 @@ builder parameters, which the builders guarantee to be reproducible.
 
 import numpy as np
 
-from .errors import DemixError
+from .errors import DemixError, FormatError
 from .models import ProblemInstance, build_family, canonical_family
 
 
@@ -80,8 +80,8 @@ def save_instance(path, inst):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_instance(path):
-    """Rebuild a persisted instance; the stored y is reproduced bit-exactly."""
+def _read_sections(path):
+    """Header key = value pairs and the labelled blocks of an instance file."""
     header = {}
     blocks = {}
     current = None
@@ -98,34 +98,54 @@ def load_instance(path):
                 header[key.strip()] = val.strip()
             else:
                 blocks[current].append(line)
+    return header, blocks
 
-    family = canonical_family(header["family"])
-    n = int(header["n"])
-    m = int(header["m"])
-    params = {}
-    for key, val in header.items():
-        if key.startswith("param_"):
-            name = key[len("param_"):]
-            conv = _PARAM_TYPES.get(name, str)
-            params[name] = conv(val)
+
+def load_instance(path):
+    """Rebuild a persisted instance; the stored y is reproduced bit-exactly.
+
+    A file that cannot be read, or lacks an entry or holds one that does
+    not parse, raises FormatError.
+    """
+    try:
+        header, blocks = _read_sections(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read instance file '{path}': {exc}") from None
+    try:
+        family = canonical_family(header["family"])
+        n = int(header["n"])
+        m = int(header["m"])
+        model_seed = int(header["model_seed"])
+        params = {}
+        for key, val in header.items():
+            if key.startswith("param_"):
+                name = key[len("param_"):]
+                conv = _PARAM_TYPES.get(name, str)
+                params[name] = conv(val)
+        vecs = {name: parse_vector_lines(blocks[name])
+                for name in ("x_true", "z_true", "w", "y")}
+        meta = dict(
+            s=int(header["s"]), k=int(header["k"]),
+            setting=header["setting"], noise_amp=float(header["noise_amp"]),
+            seed=int(header["seed"]),
+            sub_seeds={key: int(header[f"subseed_{key}"])
+                       for key in ("signal", "corruption", "noise")})
+    except KeyError as exc:
+        raise FormatError(f"instance file '{path}' lacks entry {exc}") from None
+    except ValueError as exc:
+        raise FormatError(f"instance file '{path}' is malformed: {exc}") from None
+
     # Bernoulli-sampled models record the realized row count as m but must
     # be rebuilt from the requested one
     m_arg = params.pop("m_requested", m)
-    model = build_family(family, n, m_arg, int(header["model_seed"]), **params)
+    model = build_family(family, n, m_arg, model_seed, **params)
     if model.m != m:
         raise DemixError(f"rebuilt model has m={model.m}, file says {m}")
 
-    vecs = {name: parse_vector_lines(blocks[name])
-            for name in ("x_true", "z_true", "w", "y")}
     inst = ProblemInstance(
         model=model,
         x_true=vecs["x_true"], z_true=vecs["z_true"],
-        w=vecs["w"], y=vecs["y"],
-        s=int(header["s"]), k=int(header["k"]),
-        setting=header["setting"], noise_amp=float(header["noise_amp"]),
-        seed=int(header["seed"]),
-        sub_seeds={key: int(header[f"subseed_{key}"])
-                   for key in ("signal", "corruption", "noise")})
+        w=vecs["w"], y=vecs["y"], **meta)
 
     recomputed = model.A.apply(inst.x_true) + model.H.apply(inst.z_true) + inst.w
     drift = np.linalg.norm(recomputed - inst.y)

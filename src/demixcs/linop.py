@@ -1,4 +1,4 @@
-"""Fast structured linear operators over complex vectors.
+"""Fast structured linear operators.
 
 Every operator exposes `apply` (forward) and `apply_adjoint` (conjugate
 transpose) and carries explicit (rows, cols) dimensions.  Inputs may be
@@ -6,6 +6,12 @@ transpose) and carries explicit (rows, cols) dimensions.  Inputs may be
 call is bitwise reproducible.  Operators are immutable after
 construction and safe to share between threads; all scratch state is
 per call.
+
+Dtype rule: an operator whose `real` attribute is true (every entry is
+real) maps real input (bool, integer or float) to float64; every other
+input, and every input to an operator that is not real, is computed and
+returned in complex128.  The float64 result equals the real part of the
+complex128 one, and that result's imaginary part is zero.
 """
 
 from collections import namedtuple
@@ -39,6 +45,7 @@ class LinearOperator:
     """Base class: a rows x cols linear map with forward/adjoint action."""
 
     kind = "Abstract"
+    real = False  # true when every entry is real; see the module docstring
 
     def __init__(self, rows, cols):
         if rows <= 0 or cols <= 0:
@@ -59,7 +66,9 @@ class LinearOperator:
         return self._run(u, self.rows, self._apply_adjoint)
 
     def _run(self, x, dim, fn):
-        a = np.asarray(x, dtype=np.complex128)
+        a = np.asarray(x)
+        real_in = self.real and a.dtype.kind in "biuf"
+        a = a.astype(np.float64 if real_in else np.complex128, copy=False)
         if a.ndim == 1:
             if a.shape[0] != dim:
                 raise DimensionError(
@@ -110,18 +119,24 @@ class Diagonal(LinearOperator):
         d = as_complex_vector(d, name="diagonal")
         super().__init__(d.shape[0], d.shape[0])
         self.diag = d
+        self.real = not np.any(d.imag)
+        self._diag_re = d.real.copy()
+
+    def _factor(self, x):
+        return self._diag_re if x.dtype == np.float64 else self.diag
 
     def _apply(self, x):
-        return self.diag[:, None] * x
+        return self._factor(x)[:, None] * x
 
     def _apply_adjoint(self, u):
-        return self.diag.conj()[:, None] * u
+        return self._factor(u).conj()[:, None] * u
 
 
 class Subsample(LinearOperator):
     """0/1 row selector.  Indices must be strictly increasing."""
 
     kind = "Subsample"
+    real = True
 
     def __init__(self, indices, cols):
         idx = np.asarray(indices, dtype=np.intp)
@@ -138,7 +153,7 @@ class Subsample(LinearOperator):
         return x[self.indices]
 
     def _apply_adjoint(self, u):
-        out = np.zeros((self.cols, u.shape[1]), dtype=np.complex128)
+        out = np.zeros((self.cols, u.shape[1]), dtype=u.dtype)
         out[self.indices] = u
         return out
 
@@ -150,7 +165,7 @@ def _fwht(x):
     """
     n, t = x.shape
     y = x.copy()
-    scratch = np.empty((n // 2, t), dtype=np.complex128)
+    scratch = np.empty((n // 2, t), dtype=x.dtype)
     h = 1
     while h < n:
         y3 = y.reshape(n // (2 * h), 2, h, t)
@@ -171,6 +186,7 @@ class WalshHadamard(LinearOperator):
     """
 
     kind = "WalshHadamard"
+    real = True
 
     def __init__(self, n):
         if not is_power_of_two(n):
@@ -237,12 +253,16 @@ class Scaled(LinearOperator):
         super().__init__(op.rows, op.cols)
         self.alpha = complex(alpha)
         self.op = op
+        self.real = self.alpha.imag == 0 and op.real
+
+    def _factor(self, x):
+        return self.alpha.real if x.dtype == np.float64 else self.alpha
 
     def _apply(self, x):
-        return self.alpha * self.op._apply(x)
+        return self._factor(x) * self.op._apply(x)
 
     def _apply_adjoint(self, u):
-        return np.conj(self.alpha) * self.op._apply_adjoint(u)
+        return np.conj(self._factor(u)) * self.op._apply_adjoint(u)
 
     def describe(self):
         factor = f"{self.alpha.real:g}" if self.alpha.imag == 0 else f"{self.alpha:g}"
@@ -259,6 +279,7 @@ class Composed(LinearOperator):
         super().__init__(outer.rows, inner.cols)
         self.outer = outer
         self.inner = inner
+        self.real = outer.real and inner.real
 
     def _apply(self, x):
         return self.outer._apply(self.inner._apply(x))
@@ -282,6 +303,7 @@ class HStacked(LinearOperator):
         super().__init__(A.rows, A.cols + H.cols)
         self.left = A
         self.right = H
+        self.real = A.real and H.real
 
     def _apply(self, x):
         nl = self.left.cols

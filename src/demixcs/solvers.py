@@ -11,10 +11,14 @@ operator [A, H]:
 Both need only forward/adjoint applications, so the fast structured
 operators keep their advantage.  The cores run on column batches; a
 batch of right-hand sides shares one operator and every column follows
-its own iterate sequence with per-column stopping.
+its own iterate sequence with per-column stopping.  When [A, H] is real
+and y has no imaginary part the iterations run in float64; they round
+exactly as the complex128 iterations on the same data would, and the
+results are returned as complex128 either way.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +26,14 @@ from .errors import ArgumentError, DimensionError, NumericalError
 from .linop import hstack, power_iteration
 
 _TINY = 1e-300
+
+
+def _require_finite(cfg):
+    """Reject NaN and infinite float fields; NaN passes every range test."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type is float and not math.isfinite(value):
+            raise ArgumentError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -35,6 +47,7 @@ class PenalizedL1Config:
     norm_estimate_tol: float = 1e-6
 
     def __post_init__(self):
+        _require_finite(self)
         if self.lambda_reg <= 0:
             raise ArgumentError("lambda_reg must be positive")
         if self.epsilon < 0:
@@ -57,6 +70,7 @@ class IrlsConfig:
     cg_max: int = 2000
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.p < 1.0:
             raise ArgumentError("p must lie in (0, 1)")
         if self.nu <= 0 or self.eps_init <= 0 or self.eps_floor <= 0:
@@ -132,7 +146,9 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter):
         if not active.any():
             break
         ap = apply_fn(p)
-        pap = np.real(np.sum(np.conj(p) * ap, axis=0))
+        # summed as complex128 so a real batch rounds like its complex twin
+        # (numpy orders single-column float and complex sums differently)
+        pap = np.real(np.sum((np.conj(p) * ap).astype(np.complex128, copy=False), axis=0))
         if np.any(active & (pap <= 0.0)):
             raise NumericalError("conjugate gradient lost positive curvature")
         alpha = np.where(active, rs / np.where(pap > 0, pap, 1.0), 0.0)
@@ -159,20 +175,20 @@ def cg_solve(op, b, tol=1e-10, max_iter=1000):
 def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
     """Primal-dual iteration on a column batch.
 
-    Returns (u, iterations, converged) where u is (dim, T).  Converged
-    columns freeze at the iteration where both the relative primal and
-    relative dual change dropped to `tol`.
+    Returns (u, iterations, converged) where u is (dim, T) with the dtype
+    of `y`.  Converged columns freeze at the iteration where both the
+    relative primal and relative dual change dropped to `tol`.
     """
     dim = theta.cols
     m, total = y.shape
-    out_u = np.zeros((dim, total), dtype=np.complex128)
+    out_u = np.zeros((dim, total), dtype=y.dtype)
     out_it = np.full(total, max_iter, dtype=np.int64)
     out_ok = np.zeros(total, dtype=bool)
 
     alive = np.arange(total)
-    u = np.zeros((dim, total), dtype=np.complex128)
+    u = np.zeros((dim, total), dtype=y.dtype)
     ubar = np.zeros_like(u)
-    p = np.zeros((m, total), dtype=np.complex128)
+    p = np.zeros((m, total), dtype=y.dtype)
     y_a = y.copy()
     thr = thresholds[:, None]
 
@@ -225,6 +241,13 @@ def _batchify(model, y):
     return arr
 
 
+def _working_data(theta, y_mat):
+    """y as float64 when `theta` and y are real, so the iterations stay real."""
+    if theta.real and not np.any(y_mat.imag):
+        return np.ascontiguousarray(y_mat.real)
+    return y_mat
+
+
 def solve_penalized_l1_batch(model, y, cfg):
     """Penalized-l1 recovery for a batch of observations (columns of y)."""
     y_mat = _batchify(model, y)
@@ -233,12 +256,12 @@ def solve_penalized_l1_batch(model, y, cfg):
     norm_est = power_iteration(theta, tol=cfg.norm_estimate_tol, max_iter=500, seed=0)
     step = 0.99 / max(norm_est.value, _TINY)
     weights = np.concatenate([np.ones(n), cfg.lambda_reg * np.ones(m)])
-    u, iters, ok = _pdhg_core(theta, y_mat, step * weights, step,
-                              cfg.epsilon, cfg.tol, cfg.max_iter)
+    u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), step * weights,
+                              step, cfg.epsilon, cfg.tol, cfg.max_iter)
     results = []
     for j in range(y_mat.shape[1]):
-        x_hat = u[:n, j].copy()
-        z_hat = u[n:, j].copy()
+        x_hat = u[:n, j].astype(np.complex128)
+        z_hat = u[n:, j].astype(np.complex128)
         resid = float(np.linalg.norm(
             y_mat[:, j] - model.A.apply(x_hat) - model.H.apply(z_hat)))
         obj = float(np.sum(np.abs(x_hat)) + cfg.lambda_reg * np.sum(np.abs(z_hat)))
@@ -276,17 +299,17 @@ def solve_irls_lp_batch(model, y, cfg):
     total = y_mat.shape[1]
     exponent = cfg.p / 2.0 - 1.0
 
-    out_u = np.zeros((n + m, total), dtype=np.complex128)
+    y_a = _working_data(theta, y_mat)
+    out_u = np.zeros((n + m, total), dtype=y_a.dtype)
     out_it = np.full(total, cfg.outer_max, dtype=np.int64)
     out_ok = np.zeros(total, dtype=bool)
     eps_hist = []
 
     alive = np.arange(total)
-    u = np.zeros((n + m, total), dtype=np.complex128)
-    q = np.zeros((m, total), dtype=np.complex128)
+    u = np.zeros((n + m, total), dtype=y_a.dtype)
+    q = np.zeros((m, total), dtype=y_a.dtype)
     eps_k = np.full(total, cfg.eps_init)
     eps_full = np.full(total, cfg.eps_init)
-    y_a = y_mat.copy()
 
     for outer in range(1, cfg.outer_max + 1):
         w = (np.abs(u) ** 2 + (eps_k ** 2)[None, :]) ** exponent
@@ -328,8 +351,8 @@ def solve_irls_lp_batch(model, y, cfg):
     traces = np.array(eps_hist) if eps_hist else np.zeros((0, total))
     results = []
     for j in range(total):
-        x_hat = out_u[:n, j].copy()
-        z_hat = out_u[n:, j].copy()
+        x_hat = out_u[:n, j].astype(np.complex128)
+        z_hat = out_u[n:, j].astype(np.complex128)
         resid = float(np.linalg.norm(
             y_mat[:, j] - model.A.apply(x_hat) - model.H.apply(z_hat)))
         obj = float(np.sum(np.abs(x_hat) ** cfg.p)

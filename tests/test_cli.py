@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demixcs import UsageError, gen_instance
+from demixcs import FormatError, UsageError, gen_instance
 from demixcs.cli import main, parse_args, parse_float_list, parse_int_list
 from demixcs.io import load_instance, load_vector, save_instance, save_vector
 from demixcs.models import build_cs_ofdm
@@ -31,6 +31,11 @@ class TestParseArgs:
         got = parse_float_list("0:0.1:0.05", "--eps")
         assert got == (0.0, 0.05, 0.1)
         assert parse_float_list("0,0.25", "--eps") == (0.0, 0.25)
+
+    @pytest.mark.parametrize("text", ["0:0.1:0", "0:0.1:-0.05", "0:0.1:nan"])
+    def test_float_sweep_without_values_rejected(self, text):
+        with pytest.raises(UsageError, match="--eps"):
+            parse_float_list(text, "--eps")
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError, match="--bogus"):
@@ -122,6 +127,87 @@ class TestDispatch:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "BudgetError" in err
+
+
+def one_line_error(capsys, name):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and name in err and "Traceback" not in err
+
+
+class TestInputFailures:
+    """Bad inputs exit with a documented code, one stderr line and no outputs."""
+
+    SOLVE = ["solve", "--lambda", "1", "--eps", "0"]
+
+    def test_missing_instance_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        with pytest.raises(FormatError):
+            load_instance(missing)
+        out = tmp_path / "out"
+        assert main(self.SOLVE + ["--instance", str(missing), "--out", str(out)]) == 1
+        one_line_error(capsys, "FormatError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "family = mtx1\nm = 4\n",                       # no n
+        "family = mtx1\nn = eight\nm = 4\n",           # n does not parse
+    ])
+    def test_malformed_instance_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_instance(path)
+        out = tmp_path / "out"
+        assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
+        one_line_error(capsys, "FormatError")
+        assert not out.exists()
+
+    def test_truncated_vector_block(self, tmp_path):
+        model = build_cs_ofdm(32, 16, seed=5)
+        path = tmp_path / "inst.txt"
+        save_instance(path, gen_instance(model, 2, 1, "gaussian", 0.0, seed=9))
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].split(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            load_instance(path)
+
+    def test_eps_sweep_with_zero_step(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["stability", "--family", "mtx1", "--n", "32", "--m", "16",
+                     "--s", "1", "--k", "1", "--eps", "0:0.1:0", "--trials", "2",
+                     "--out", str(out)])
+        assert code == 2
+        one_line_error(capsys, "--eps")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["pt", "stability"])
+    def test_zero_trials(self, tmp_path, capsys, sub):
+        out = tmp_path / "out"
+        args = [sub, "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1",
+                "--k", "1", "--trials", "0", "--out", str(out)]
+        if sub == "stability":
+            args += ["--eps", "0,0.1"]
+        assert main(args) == 1
+        one_line_error(capsys, "trials")
+        assert not out.exists()
+
+    def test_model_that_cannot_be_built(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["pt", "--family", "mtx1", "--n", "60", "--m", "16",
+                     "--s", "1", "--k", "1", "--trials", "2", "--out", str(out)])
+        assert code == 1
+        one_line_error(capsys, "ShapeError")
+        assert not out.exists()
+
+    def test_non_finite_tolerance(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["pt", "--family", "mtx1", "--n", "32", "--m", "16",
+                     "--s", "1", "--k", "1", "--trials", "2", "--tol", "nan",
+                     "--out", str(out)])
+        assert code == 1
+        one_line_error(capsys, "tol")
+        assert not out.exists()
 
 
 class TestByteDeterminism:

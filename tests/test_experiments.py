@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from demixcs import SchemaError, derive_seed
+from demixcs import ArgumentError, SchemaError, ShapeError, derive_seed
 from demixcs.experiments import (
     PT_COLUMNS,
     STAB_COLUMNS,
@@ -151,6 +151,20 @@ class TestPhaseTransition:
         r2 = run_phase_transition(more).rows[0]
         assert r1[:4] == r2[:4]
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ArgumentError, match="trials"):
+            tiny_pt_spec(trials=0)
+
+    def test_unbuildable_model_raises_before_any_cell(self, monkeypatch):
+        from demixcs import experiments
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_pt_cell", no_cell)
+        with pytest.raises(ShapeError):
+            run_phase_transition(tiny_pt_spec(n=60), threads=2)
+
     def test_desk_scale_ordering_properties(self):
         spec = PhaseTransitionSpec(
             family="modulated-hadamard", n=128, m=64, s_values=(1, 5, 20, 40),
@@ -198,6 +212,11 @@ class TestStability:
         imean = STAB_COLUMNS.index("mean_error")
         for row in table.rows:
             assert row[imean] <= 1e-5
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ArgumentError, match="trials"):
+            StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                          eps_values=(0.0,), trials=0, master_seed=0)
 
     def test_eps_values_must_be_sorted(self):
         with pytest.raises(Exception):

@@ -1,5 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from demixcs import (
     BudgetError,
@@ -17,7 +22,8 @@ from demixcs import (
     materialize,
     power_iteration,
 )
-from demixcs.models import build_modulated_hadamard
+from demixcs.linop import Scaled
+from demixcs.models import build_family, build_modulated_hadamard
 
 from conftest import dense_dft, dense_hadamard, random_complex
 
@@ -49,7 +55,6 @@ def make_operators(gen):
     left = Dense(random_complex(gen, 4, 3))
     right = Dense(random_complex(gen, 4, 5))
     ops.append((hstack(left, right), np.hstack([left.matrix, right.matrix])))
-    from demixcs.linop import Scaled
     ops.append((Scaled(2.0 - 1.0j, left), (2.0 - 1.0j) * left.matrix))
     return ops
 
@@ -256,3 +261,105 @@ class TestValidation:
         for op, _ in make_operators(rng):
             text = op.describe()
             assert "\n" not in text and op.kind in text
+
+
+# Which of (A, H, [A, H]) are real, per family at (n, m) = (32, 16).
+REAL_PARTS = {
+    "modulated-hadamard": (True, True, True),
+    "subsampled-hadamard": (True, True, True),
+    "partial-circulant": (False, True, False),
+    "cs-ofdm": (False, False, False),
+    "drpe": (False, True, False),
+}
+
+@functools.lru_cache(maxsize=None)
+def family_operators(family, seed=3):
+    """(A, H, [A, H]) of a small model, built once per (family, seed)."""
+    model = build_family(family, 32, 16, seed)
+    return model.A, model.H, hstack(model.A, model.H)
+
+
+class TestRealPath:
+    def test_real_attribute_per_kind(self):
+        assert Subsample(np.array([0, 2]), 4).real
+        assert WalshHadamard(4).real
+        assert Diagonal(np.array([1.0, -2.0])).real
+        assert not Diagonal(np.array([1.0, 1j])).real
+        assert Scaled(2.0, WalshHadamard(4)).real
+        assert not Scaled(1j, WalshHadamard(4)).real
+        assert not Scaled(2.0, Fourier(4)).real
+        assert compose(WalshHadamard(4), Diagonal(np.ones(4))).real
+        assert not compose(Fourier(4), WalshHadamard(4)).real
+        assert not hstack(WalshHadamard(4), Fourier(4)).real
+        for kind in (Dense(np.eye(3)), Fourier(4), Circulant(np.ones(4))):
+            assert not kind.real
+
+    @pytest.mark.parametrize("family", sorted(REAL_PARTS))
+    def test_real_input_matches_complex_path_bitwise(self, family, rng):
+        ops = family_operators(family)
+        assert tuple(op.real for op in ops) == REAL_PARTS[family]
+        for op in ops:
+            for fn, dim in ((op.apply, op.cols), (op.apply_adjoint, op.rows)):
+                for shape in ((dim,), (dim, 3)):
+                    x = rng.standard_normal(shape)
+                    via_complex = fn(x.astype(np.complex128))
+                    out = fn(x)
+                    assert via_complex.dtype == np.complex128
+                    if not op.real:
+                        assert out.dtype == np.complex128
+                        assert out.tobytes() == via_complex.tobytes()
+                        continue
+                    assert out.dtype == np.float64
+                    assert out.tobytes() == via_complex.real.tobytes()
+                    assert not np.any(via_complex.imag)
+
+    def test_integer_input_runs_in_float64(self):
+        out = WalshHadamard(4).apply(np.array([1, 0, 0, 0]))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.full(4, 0.5))
+
+    def test_complex_kinds_return_complex128(self, rng):
+        x = rng.standard_normal(32)
+        for family in ("cs-ofdm", "drpe"):
+            a, _, theta = family_operators(family)
+            assert a.apply(x).dtype == np.complex128
+            assert theta.apply_adjoint(x[:16]).dtype == np.complex128
+        assert Fourier(8).apply(x[:8]).dtype == np.complex128
+        assert Fourier(8, adjoint=True).apply_adjoint(x[:8]).dtype == np.complex128
+
+    def test_complex_input_to_real_operator_stays_complex(self, rng):
+        a, _, _ = family_operators("modulated-hadamard")
+        x = random_complex(rng, 32)
+        out = a.apply(x)
+        assert out.dtype == np.complex128
+        ref = a.apply(x.real) + 1j * a.apply(x.imag)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(x)
+
+
+_FAMILIES = st.sampled_from(sorted(REAL_PARTS))
+_SEEDS = st.integers(min_value=0, max_value=3)
+_ENTRIES = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def _probe(draw, length, complex_):
+    """A probe scaled to unit norm (zero stays zero), so no product underflows."""
+    v = draw(arrays(np.float64, length, elements=_ENTRIES))
+    if complex_:
+        v = v + 1j * draw(arrays(np.float64, length, elements=_ENTRIES))
+    return v / (np.linalg.norm(v) or 1.0)
+
+
+class TestAdjointProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(family=_FAMILIES, seed=_SEEDS, which=st.integers(0, 2),
+           complex_=st.booleans(), data=st.data())
+    def test_adjoint_identity_every_family(self, family, seed, which, complex_, data):
+        op = family_operators(family, seed)[which]
+        u = data.draw(_probe(op.cols, complex_))
+        v = data.draw(_probe(op.rows, complex_))
+        lhs = np.vdot(v, op.apply(u))
+        rhs = np.vdot(op.apply_adjoint(v), u)
+        # unit probes; every family operator has spectral norm at most
+        # sqrt(n/m) + 1
+        assert abs(lhs - rhs) <= 1e-12 * (np.sqrt(2.0) + 1.0)

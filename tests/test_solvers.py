@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,14 @@ from demixcs import (
     custom_model,
     gen_instance,
 )
-from demixcs.linop import Dense, Diagonal, identity
+from demixcs.linop import Dense, Diagonal, hstack, identity
 from demixcs.rip import certify_uniqueness
 from demixcs.seeding import derive_seed
 from demixcs.solvers import (
     IrlsConfig,
     PenalizedL1Config,
+    _cg_batch,
+    _pdhg_core,
     cg_solve,
     check_success,
     project_ball,
@@ -242,6 +247,74 @@ class TestIrls:
             IrlsConfig(p=1.5)
         with pytest.raises(ArgumentError):
             IrlsConfig(eps_shrink=1.0)
+
+
+class TestConfigFiniteness:
+    @pytest.mark.parametrize("cls", [PenalizedL1Config, IrlsConfig])
+    def test_every_float_field_rejects_nan_and_inf(self, cls):
+        base = {"lambda_reg": 1.0} if cls is PenalizedL1Config else {}
+        names = [f.name for f in fields(cls) if f.type is float]
+        assert names
+        for name in names:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ArgumentError, match=name):
+                    cls(**{**base, name: bad})
+
+
+def real_batch(model, count, seed, noise_amp=0.0):
+    insts = [gen_instance(model, 2, 2, "gaussian", noise_amp,
+                          seed=derive_seed(seed, (t,))) for t in range(count)]
+    y = np.stack([inst.y for inst in insts], axis=1)
+    assert not np.any(y.imag)
+    return np.ascontiguousarray(y.real)
+
+
+class TestRealPath:
+    """Real models on real data iterate in float64, rounding as complex128 would."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_pdhg_core_real_and_complex_data_iterate_alike(self, eps, width):
+        model = build_modulated_hadamard(64, 32, seed=3)
+        theta = hstack(model.A, model.H)
+        y = real_batch(model, width, 17, noise_amp=0.01 if eps else 0.0)
+        step = 0.99 / np.sqrt(3.0)
+        thresholds = step * np.ones(theta.cols)
+        # the early caps compare intermediate iterates, the last the finish
+        for cap in (1, 7, 60, 3000):
+            u_r, it_r, ok_r = _pdhg_core(theta, y, thresholds, step, eps, 1e-9, cap)
+            u_c, it_c, ok_c = _pdhg_core(theta, y.astype(np.complex128), thresholds,
+                                         step, eps, 1e-9, cap)
+            assert u_r.dtype == np.float64 and u_c.dtype == np.complex128
+            assert u_r.tobytes() == u_c.real.tobytes()
+            assert not np.any(u_c.imag)
+            assert np.array_equal(it_r, it_c) and np.array_equal(ok_r, ok_c)
+        assert ok_r.all()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_cg_batch_real_and_complex_data_iterate_alike(self, width):
+        model = build_modulated_hadamard(64, 32, seed=4)
+        theta = hstack(model.A, model.H)
+        weights = np.linspace(0.5, 2.0, theta.cols)[:, None]
+
+        def normal(q):
+            return theta.apply(weights * theta.apply_adjoint(q))
+
+        b = real_batch(model, width, 23)
+        for cap in (3, 200):
+            x_r, ok_r = _cg_batch(normal, b, np.zeros_like(b), 1e-12, cap)
+            x_c, ok_c = _cg_batch(normal, b.astype(np.complex128),
+                                  np.zeros(b.shape, dtype=np.complex128), 1e-12, cap)
+            assert x_r.dtype == np.float64
+            assert x_r.tobytes() == x_c.real.tobytes()
+            assert np.array_equal(ok_r, ok_c)
+
+    def test_results_stay_complex128(self):
+        model = build_modulated_hadamard(64, 32, seed=5)
+        y = real_batch(model, 2, 29)
+        for r in (solve_penalized_l1_batch(model, y, PenalizedL1Config(lambda_reg=1.0))
+                  + [solve_irls_lp(model, y[:, 0], IrlsConfig(outer_max=5))]):
+            assert r.x_hat.dtype == np.complex128 and r.z_hat.dtype == np.complex128
 
 
 class TestCheckSuccess:
