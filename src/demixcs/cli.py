@@ -86,7 +86,6 @@ class CliConfig:
     params: dict
     seed: int
     output_dir: Path
-    threads: int
 
 
 def parse_int_list(text, flag):
@@ -181,11 +180,14 @@ def parse_args(argv):
 
     seed = params.pop("seed", 0)
     out = Path(params.pop("out", "."))
+    # kept so existing command lines work; sweeps run serially regardless
     threads = params.pop("threads", 1)
     if threads < 1:
         raise UsageError("'--threads' must be at least 1")
-    return CliConfig(subcommand=sub, params=params, seed=seed,
-                     output_dir=out, threads=threads)
+    if threads > 1:
+        print(f"note: --threads {threads} has no effect; sweeps run serially",
+              file=sys.stderr)
+    return CliConfig(subcommand=sub, params=params, seed=seed, output_dir=out)
 
 
 def _usage():
@@ -193,8 +195,9 @@ def _usage():
         "usage: demixcs <subcommand> [--flag value ...]\n"
         f"subcommands: {', '.join(SUBCOMMANDS)}\n"
         "common flags: --family --n --m --s --k --lambda --eps --trials\n"
-        "              --setting --seed --p --nu --out --config --threads\n"
-        "sweeps: --s 1:100 (range) or --s 1,2,5 (list); --eps 0:0.1:0.01"
+        "              --setting --seed --p --nu --out --config\n"
+        "sweeps: --s 1:100 (range) or --s 1,2,5 (list); --eps 0:0.1:0.01\n"
+        "sweeps run serially; --threads N is accepted for compatibility only"
     )
 
 
@@ -273,7 +276,7 @@ def _cmd_pt(cfg):
         trials=p["trials"], setting=p.get("setting", "gaussian"),
         lambda_reg=p.get("lambda", 1.0), solver_cfg=solver_cfg,
         master_seed=cfg.seed)
-    table = run_phase_transition(spec, threads=cfg.threads)
+    table = run_phase_transition(spec)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "phase_transition.csv"
     svg_path = cfg.output_dir / "phase_transition.svg"
@@ -299,7 +302,7 @@ def _cmd_stability(cfg):
         irls_cfg=IrlsConfig(p=p.get("p", 0.5), nu=p.get("nu", 1.0)),
         lambda_reg=p.get("lambda", 1.0), solver_cfg=solver_cfg,
         master_seed=cfg.seed)
-    table = run_stability(spec, threads=cfg.threads)
+    table = run_stability(spec)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "stability.csv"
     svg_path = cfg.output_dir / "stability.svg"

@@ -3,12 +3,12 @@
 A sweep is a pure function of its spec: every sensing matrix and every
 instance draw derives its seed from (master_seed, cell index, trial
 index), aggregation runs in fixed trial order, and output files carry no
-timestamps, so reruns are byte-identical regardless of worker count.
+timestamps, so reruns are byte-identical.  Cells run one after another
+on the calling thread.
 """
 
 import hashlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,11 +35,6 @@ STAB_COLUMNS = ("family", "n", "m", "s", "k", "solver", "eps_amp", "eps_ball",
 SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
-def _require_trials(trials):
-    if trials < 1:
-        raise ArgumentError(f"trials must be at least 1, got {trials}")
-
-
 @dataclass(frozen=True)
 class PhaseTransitionSpec:
     """Grid of (s, k) cells; one matrix per cell, fresh instances per trial."""
@@ -58,7 +53,8 @@ class PhaseTransitionSpec:
     def __post_init__(self):
         if max(self.s_values) > self.n or max(self.k_values) > self.m:
             raise DemixError("sparsity grid exceeds model dimensions")
-        _require_trials(self.trials)
+        if self.trials < 1:
+            raise ArgumentError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,9 @@ class StabilitySpec:
         for name in self.solvers:
             if name not in SOLVER_NAMES:
                 raise DemixError(f"unknown solver '{name}'")
-        _require_trials(self.trials)
+        if self.trials < 2:
+            raise ArgumentError("trials must be at least 2, since a spread "
+                                f"needs two samples, got {self.trials}")
 
 
 @dataclass
@@ -138,7 +136,7 @@ def _pt_cell(spec, model, s_idx, k_idx):
         return float("nan")
 
 
-def run_phase_transition(spec, threads=1):
+def run_phase_transition(spec):
     """Success fraction per (s, k) cell of the grid.
 
     One sensing matrix is drawn per cell; each of the `trials` instances
@@ -153,17 +151,10 @@ def run_phase_transition(spec, threads=1):
     models = [build_family(spec.family, spec.n, spec.m,
                            derive_seed(spec.master_seed, (0, si, ki)))
               for si, ki in cells]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fractions = list(pool.map(lambda model, c: _pt_cell(spec, model, *c),
-                                      models, cells))
-    else:
-        fractions = [_pt_cell(spec, model, *c) for model, c in zip(models, cells)]
-    rows = []
-    for (si, ki), frac in zip(cells, fractions):
-        rows.append((spec.family, spec.n, spec.m, int(spec.s_values[si]),
-                     int(spec.k_values[ki]), spec.setting, spec.lambda_reg,
-                     spec.trials, frac))
+    rows = [(spec.family, spec.n, spec.m, int(spec.s_values[si]),
+             int(spec.k_values[ki]), spec.setting, spec.lambda_reg, spec.trials,
+             _pt_cell(spec, model, si, ki))
+            for model, (si, ki) in zip(models, cells)]
     return ResultTable(columns=PT_COLUMNS, rows=rows, provenance=_provenance(spec))
 
 
@@ -202,16 +193,12 @@ def run_stability(spec, threads=1):
     One matrix serves the whole sweep; the per-entry noise amplitude is
     converted to the ball radius eps_ball = eps_amp * sqrt(m) for the
     penalized solver, while the reweighted solver consumes the noisy
-    observations unchanged.
+    observations unchanged.  `threads` is ignored: the cells run in order
+    on the calling thread, and the keyword stays so existing callers work.
     """
     model_seed = derive_seed(spec.master_seed, (0,))
     model = build_family(spec.family, spec.n, spec.m, model_seed)
-    idxs = list(range(len(spec.eps_values)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda i: _stability_cell(spec, model, i), idxs))
-    else:
-        cells = [_stability_cell(spec, model, i) for i in idxs]
+    cells = [_stability_cell(spec, model, i) for i in range(len(spec.eps_values))]
     rows = []
     for name in spec.solvers:
         for eps_amp, eps_ball, out in cells:

@@ -9,7 +9,7 @@ builder parameters, which the builders guarantee to be reproducible.
 
 import numpy as np
 
-from .errors import DemixError, FormatError
+from .errors import ArgumentError, DemixError, FormatError
 from .models import ProblemInstance, build_family, canonical_family
 
 
@@ -104,8 +104,9 @@ def _read_sections(path):
 def load_instance(path):
     """Rebuild a persisted instance; the stored y is reproduced bit-exactly.
 
-    A file that cannot be read, or lacks an entry or holds one that does
-    not parse, raises FormatError.
+    A file that cannot be read, lacks an entry, holds one that does not
+    parse, or names a model parameter its family does not take raises
+    FormatError.
     """
     try:
         header, blocks = _read_sections(path)
@@ -138,7 +139,10 @@ def load_instance(path):
     # Bernoulli-sampled models record the realized row count as m but must
     # be rebuilt from the requested one
     m_arg = params.pop("m_requested", m)
-    model = build_family(family, n, m_arg, model_seed, **params)
+    try:
+        model = build_family(family, n, m_arg, model_seed, **params)
+    except ArgumentError as exc:
+        raise FormatError(f"instance file '{path}': {exc}") from None
     if model.m != m:
         raise DemixError(f"rebuilt model has m={model.m}, file says {m}")
 

@@ -8,11 +8,12 @@ header metadata.
 """
 
 from dataclasses import dataclass, field
+from inspect import signature
 
 import numpy as np
 
 from . import linop
-from .errors import NumericalError, ShapeError, SparsityError
+from .errors import ArgumentError, NumericalError, ShapeError, SparsityError
 from .linop import (
     Circulant,
     Dense,
@@ -290,7 +291,11 @@ def build_family(family, n, m, seed, **params):
     fam = canonical_family(family)
     if fam == "custom":
         raise ShapeError("custom models cannot be built from a family name")
-    return _BUILDERS[fam](n, m, seed, **params)
+    builder = _BUILDERS[fam]
+    foreign = sorted(set(params) - set(signature(builder).parameters))
+    if foreign:
+        raise ArgumentError(f"family '{fam}' takes no parameter {', '.join(foreign)}")
+    return builder(n, m, seed, **params)
 
 
 def gen_sparse(length, s, setting, seed):

@@ -172,6 +172,29 @@ class TestInputFailures:
         with pytest.raises(FormatError):
             load_instance(path)
 
+    def test_foreign_model_parameter(self, tmp_path, capsys):
+        inst_dir = tmp_path / "gen"
+        assert main(["gen", "--family", "mtx1", "--n", "32", "--m", "16",
+                     "--s", "1", "--k", "1", "--seed", "4", "--out", str(inst_dir)]) == 0
+        path = inst_dir / "instance.txt"
+        path.write_text(path.read_text().replace("s = 1\n", "param_colour = red\ns = 1\n", 1))
+        capsys.readouterr()
+        with pytest.raises(FormatError, match="colour"):
+            load_instance(path)
+        out = tmp_path / "out"
+        assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
+        one_line_error(capsys, "FormatError")
+        assert not out.exists()
+
+    def test_single_trial_stability(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["stability", "--family", "mtx1", "--n", "32", "--m", "16",
+                     "--s", "1", "--k", "1", "--eps", "0,0.1", "--trials", "1",
+                     "--out", str(out)])
+        assert code == 1
+        one_line_error(capsys, "two samples")
+        assert not out.exists()
+
     def test_eps_sweep_with_zero_step(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["stability", "--family", "mtx1", "--n", "32", "--m", "16",

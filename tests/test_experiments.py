@@ -1,3 +1,4 @@
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -135,12 +136,6 @@ class TestPhaseTransition:
         for row in table.rows:
             assert 0.0 <= row[idx] <= 1.0
 
-    def test_worker_count_does_not_change_results(self):
-        spec = tiny_pt_spec(s_values=(1, 2, 3), k_values=(1, 2))
-        serial = run_phase_transition(spec, threads=1)
-        parallel = run_phase_transition(spec, threads=4)
-        assert serial.rows == parallel.rows
-
     def test_one_matrix_per_cell_fresh_instances_per_trial(self):
         # trial draws differ inside a cell but the cell matrix is shared:
         # rerun with trials=1 vs trials=2 and confirm the first trial of
@@ -163,7 +158,7 @@ class TestPhaseTransition:
 
         monkeypatch.setattr(experiments, "_pt_cell", no_cell)
         with pytest.raises(ShapeError):
-            run_phase_transition(tiny_pt_spec(n=60), threads=2)
+            run_phase_transition(tiny_pt_spec(n=60))
 
     def test_desk_scale_ordering_properties(self):
         spec = PhaseTransitionSpec(
@@ -222,3 +217,26 @@ class TestStability:
         with pytest.raises(Exception):
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                           eps_values=(0.1, 0.0), trials=2, master_seed=0)
+
+
+def test_sweep_cells_run_on_the_calling_thread(tmp_path, monkeypatch):
+    from demixcs import experiments
+    from demixcs.cli import main
+
+    seen = []
+
+    def recording(cell):
+        def wrapper(*args):
+            seen.append((cell.__name__, threading.get_ident()))
+            return cell(*args)
+        return wrapper
+
+    for name in ("_pt_cell", "_stability_cell"):
+        monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+    common = ["--family", "mtx1", "--n", "32", "--m", "16", "--k", "1", "--trials", "2",
+              "--max-iter", "200", "--threads", "4"]
+    assert main(["pt", "--s", "1,2"] + common + ["--out", str(tmp_path / "pt")]) == 0
+    assert main(["stability", "--s", "1", "--eps", "0,0.1"] + common
+                + ["--out", str(tmp_path / "stab")]) == 0
+    assert sorted(name for name, _ in seen) == ["_pt_cell"] * 2 + ["_stability_cell"] * 2
+    assert {ident for _, ident in seen} == {threading.get_ident()}
