@@ -118,6 +118,13 @@ def parse_float_list(text, flag):
         raise UsageError(f"cannot parse {flag} value '{text}'") from None
 
 
+def _single_int(text, flag):
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"'--{flag}' takes one integer here, got '{text}'") from None
+
+
 def _read_config_file(path):
     values = {}
     try:
@@ -316,14 +323,13 @@ def _cmd_stability(cfg):
 
 def _cmd_rip(cfg):
     p = cfg.params
-    s, k = int(p["s"]), int(p["k"])
-    lam = p.get("lambda", 1.0)
+    s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
     budget = p.get("budget", rip.ENUM_BUDGET)
+    base = rip.recovery_threshold(s, k, p.get("lambda", 1.0))
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
     a = materialize(model.A)
     h = materialize(model.H)
     report = rip.exact_skrip(a, h, 2 * s, 2 * k, budget)
-    base = rip.recovery_threshold(s, k, lam)
     satisfied = report.delta < base.threshold
     print(f"delta_2s2k = {report.delta:.6g}")
     print(f"eta = {base.eta:.6g}")
@@ -348,7 +354,7 @@ def _cmd_rip(cfg):
 
 def _cmd_bounds(cfg):
     p = cfg.params
-    s, k, delta = int(p["s"]), int(p["k"]), p["delta"]
+    s, k, delta = _single_int(p["s"], "s"), _single_int(p["k"], "k"), p["delta"]
     if p["theorem"] == 2:
         if "ntilde" not in p or "mu-b" not in p:
             raise UsageError("theorem 2 bounds need '--ntilde' and '--mu-b'")

@@ -1,8 +1,14 @@
 """Exact restricted-isometry oracles and recovery certification.
 
 At desk scale the restricted isometry constants can be computed exactly
-by enumerating supports and taking extreme eigenvalues of the associated
-Gram blocks.  Combining the exact joint constant with the recovery
+from the extreme eigenvalues of the Gram block of every support.  The
+joint constant of [A, H] is found by bound-then-verify: a cheap upper
+bound on each (S, K) pair's deviation, built from the deviations of S
+and K alone and the norm of their cross block, rules out every pair
+that cannot reach the maximum or tie with it, and LAPACK runs only on
+the rest.  Each block is solved on its own, so the constant, the
+witness and its extreme eigenvalues match exhaustive enumeration bit
+for bit.  Combining the exact joint constant with the recovery
 threshold yields an actionable certificate: when it holds, every
 sufficiently sparse signal/corruption pair is the unique minimizer of
 the penalized program with zero noise.
@@ -14,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetError, DimensionError
+from .errors import ArgumentError, BudgetError, DimensionError
 from .linop import materialize
 
 ENUM_BUDGET = 10 ** 6
@@ -23,7 +29,14 @@ ENUM_BUDGET = 10 ** 6
 # ties; the lexicographically smallest is reported.
 _TIE_TOL = 1e-14
 
+# Relative inflation of the pair bounds.  It covers rounding in the bound
+# and in LAPACK's eigenvalues, each a few ulps of the block norm, which
+# is at most 1 + bound.
+_BOUND_SLACK = 1e-9
+
 _CHUNK = 4096
+
+_NO_SUPPORT = np.zeros((1, 0), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -50,26 +63,31 @@ class ThresholdReport:
 
 def _combo_array(n, r):
     if r == 0:
-        return np.zeros((1, 0), dtype=np.intp)
+        return _NO_SUPPORT
     return np.array(list(combinations(range(n), r)), dtype=np.intp)
 
 
-def _check_budget(count, budget):
+def _supports(n, m, s, k, budget):
+    """Signal and corruption supports in lexicographic order, once checked."""
+    if not (0 <= s <= n and 0 <= k <= m):
+        raise DimensionError(
+            f"sparsity (s, k) = ({s}, {k}) outside [0, {n}] x [0, {m}]")
+    count = math.comb(n, s) * math.comb(m, k)
     if count > budget:
         raise BudgetError(
             f"{count} support pairs exceed the enumeration budget of {budget}")
+    return _combo_array(n, s), _combo_array(m, k)
 
 
-def _pair_deviations(gram, sig_combos, cor_combos, n):
-    """Extreme-eigenvalue deviations for every (S, K) pair, in lex order.
+def _pair_deviations(gram, sig_combos, cor_combos, n, pairs=None):
+    """Extreme-eigenvalue deviations of (S, K) pairs, in the given order.
 
-    Returns (devs, eig_mins, eig_maxs) flat arrays of length
-    len(sig_combos) * len(cor_combos); the pair at flat index t is
-    (sig_combos[t // nK], cor_combos[t % nK]).
+    `pairs` holds flat indices, every pair by default; the pair at flat
+    index t is (sig_combos[t // nK], cor_combos[t % nK]).  Returns
+    (devs, eig_mins, eig_maxs) arrays aligned with `pairs`.
     """
-    n_sig = sig_combos.shape[0]
     n_cor = cor_combos.shape[0]
-    total = n_sig * n_cor
+    total = sig_combos.shape[0] * n_cor if pairs is None else len(pairs)
     d = sig_combos.shape[1] + cor_combos.shape[1]
     devs = np.empty(total)
     emin = np.empty(total)
@@ -81,7 +99,7 @@ def _pair_deviations(gram, sig_combos, cor_combos, n):
         return devs, emin, emax
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
-        t = np.arange(start, stop)
+        t = np.arange(start, stop) if pairs is None else pairs[start:stop]
         idx = np.concatenate(
             [sig_combos[t // n_cor], n + cor_combos[t % n_cor]], axis=1)
         sub = gram[idx[:, :, None], idx[:, None, :]]
@@ -92,74 +110,113 @@ def _pair_deviations(gram, sig_combos, cor_combos, n):
     return devs, emin, emax
 
 
+def _pair_bounds(gram, sig_combos, cor_combos, n, e, d):
+    """Upper bound on every pair's deviation, by flat index.
+
+    For Gram - I = [[E, C], [C*, D]] and a unit x = (u, v),
+    |x* (Gram - I) x| <= e|u|^2 + 2c|u||v| + d|v|^2 with e = ||E||,
+    d = ||D|| and c >= ||C||, so the top eigenvalue of [[e, c], [c, d]]
+    bounds the pair's deviation.  c is exact when min(s, k) <= 2: with
+    one row or column it is the Frobenius norm, taken as the bound when
+    both sides exceed 2, and with two it is the root of the closed-form
+    top eigenvalue of that side's 2 x 2 Gram.
+    """
+    cross = gram[:n, n:]
+    # the norm is taken over the `small` side's Gram, which must be the
+    # 2-wide side when the other is wider
+    big, small, x, e_big, e_small = sig_combos, cor_combos, cross, e, d
+    swap = sig_combos.shape[1] == 2 < cor_combos.shape[1]
+    if swap:
+        big, small, x, e_big, e_small = cor_combos, sig_combos, cross.T, d, e
+    p = np.abs(x) ** 2
+    if small.shape[1] == 2:
+        q = x[:, small[:, 0]].conj() * x[:, small[:, 1]]
+    ub = np.empty((big.shape[0], small.shape[0]))
+    rows = max(1, _CHUNK // small.shape[0])
+    for start in range(0, big.shape[0], rows):
+        block = big[start:start + rows]
+        p_big = p[block].sum(axis=1)
+        if small.shape[1] == 2:
+            uu, vv = p_big[:, small[:, 0]], p_big[:, small[:, 1]]
+            uv = np.abs(q[block].sum(axis=1))
+            c2 = (uu + vv) / 2 + np.hypot((uu - vv) / 2, uv)
+        else:
+            c2 = p_big[:, small].sum(axis=2)
+        eb = e_big[start:start + rows, None]
+        bound = (eb + e_small) / 2 + np.hypot((eb - e_small) / 2, np.sqrt(c2))
+        ub[start:start + rows] = bound + _BOUND_SLACK * (1.0 + bound)
+    return (ub.T if swap else ub).ravel()
+
+
+def _support_search(gram, n, s, k, budget):
+    """Largest pair deviation over (S, K) supports of the Gram's two blocks.
+
+    Columns below n form the signal block, the rest the corruption
+    block.  The exact deviation of the pair with the largest bound is a
+    floor on the maximum; only pairs whose bound reaches that floor, less
+    the tie tolerance, can be the maximum or a tie witness, and only
+    they are solved, in lexicographic order.
+    """
+    sig, cor = _supports(n, gram.shape[0] - n, s, k, budget)
+    e = _pair_deviations(gram, sig, _NO_SUPPORT, n)[0]
+    d = _pair_deviations(gram, _NO_SUPPORT, cor, n)[0]
+    ub = _pair_bounds(gram, sig, cor, n, e, d)
+    floor = _pair_deviations(gram, sig, cor, n, ub.argmax(keepdims=True))[0][0]
+    candidates = np.flatnonzero(ub >= floor - _TIE_TOL)
+    devs, emin, emax = _pair_deviations(gram, sig, cor, n, candidates)
+
+    delta = float(devs.max())
+    w = int(np.flatnonzero(devs >= delta - _TIE_TOL)[0])
+    wi, wj = divmod(int(candidates[w]), cor.shape[0])
+    return RipReport(
+        delta=delta,
+        witness_signal_support=tuple(int(i) for i in sig[wi]),
+        witness_corruption_support=tuple(int(i) for i in cor[wj]),
+        eig_min=float(emin[w]),
+        eig_max=float(emax[w]),
+        supports_enumerated=ub.size,
+    )
+
+
 def _as_dense(a):
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError("expected a dense 2-D matrix")
+    if not np.isfinite(m).all():
+        raise ArgumentError("matrix entries must be finite")
     return m
+
+
+def _joint_gram(a_matrix, h_matrix):
+    """Gram of [A, H] and the column count n of A."""
+    a = _as_dense(a_matrix)
+    h = _as_dense(h_matrix)
+    if h.shape[0] != a.shape[0] or h.shape[0] != h.shape[1]:
+        raise DimensionError("H must be square with as many rows as A")
+    theta = np.concatenate([a, h], axis=1)
+    return theta.conj().T @ theta, a.shape[1]
 
 
 def exact_skrip(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
     """Exact joint isometry constant of [A, H] over (s, k)-sparse pairs.
 
-    Enumerates every signal support S (|S| = s) and corruption support K
-    (|K| = k), forms the Gram of the stacked submatrix [A_S, H_K] and
-    records the worst deviation of its eigenvalues from 1.  The first
+    Over every signal support S (|S| = s) and corruption support K
+    (|K| = k), the constant is the worst deviation from 1 of an
+    eigenvalue of the Gram of [A_S, H_K].  Bound-then-verify (module
+    docstring) solves only the pairs that can attain it; the result,
+    witness and eigenvalues included, equals exhaustive enumeration bit
+    for bit, and `supports_enumerated` counts every pair.  The first
     support pair (in lexicographic order) within 1e-14 of the maximum is
     reported as the witness.
     """
-    a = _as_dense(a_matrix)
-    h = _as_dense(h_matrix)
-    if h.shape[0] != a.shape[0] or h.shape[0] != h.shape[1]:
-        raise DimensionError("H must be square with as many rows as A")
-    m, n = a.shape
-    if s > n or k > m:
-        raise DimensionError("sparsity exceeds matrix dimensions")
-    count = math.comb(n, s) * math.comb(m, k)
-    _check_budget(count, budget)
-
-    theta = np.concatenate([a, h], axis=1)
-    gram = theta.conj().T @ theta
-    sig = _combo_array(n, s)
-    cor = _combo_array(m, k)
-    devs, emin, emax = _pair_deviations(gram, sig, cor, n)
-
-    delta = float(devs.max())
-    witness = int(np.flatnonzero(devs >= delta - _TIE_TOL)[0])
-    wi, wj = divmod(witness, cor.shape[0])
-    return RipReport(
-        delta=delta,
-        witness_signal_support=tuple(int(i) for i in sig[wi]),
-        witness_corruption_support=tuple(int(i) for i in cor[wj]),
-        eig_min=float(emin[witness]),
-        eig_max=float(emax[witness]),
-        supports_enumerated=count,
-    )
+    gram, n = _joint_gram(a_matrix, h_matrix)
+    return _support_search(gram, n, s, k, budget)
 
 
 def exact_rip(a_matrix, s, budget=ENUM_BUDGET):
-    """Exact standard restricted isometry constant by enumeration."""
+    """Exact standard restricted isometry constant: the joint search at k = 0."""
     a = _as_dense(a_matrix)
-    n = a.shape[1]
-    if s > n:
-        raise DimensionError("sparsity exceeds column count")
-    _check_budget(math.comb(n, s), budget)
-
-    gram = a.conj().T @ a
-    sig = _combo_array(n, s)
-    cor = np.zeros((1, 0), dtype=np.intp)
-    devs, emin, emax = _pair_deviations(gram, sig, cor, n)
-
-    delta = float(devs.max())
-    witness = int(np.flatnonzero(devs >= delta - _TIE_TOL)[0])
-    return RipReport(
-        delta=delta,
-        witness_signal_support=tuple(int(i) for i in sig[witness]),
-        witness_corruption_support=(),
-        eig_min=float(emin[witness]),
-        eig_max=float(emax[witness]),
-        supports_enumerated=sig.shape[0],
-    )
+    return _support_search(a.conj().T @ a, a.shape[1], s, 0, budget)
 
 
 def rip_split(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
@@ -173,17 +230,15 @@ def rip_split(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
     a = _as_dense(a_matrix)
     h = _as_dense(h_matrix)
     m, n = a.shape
-    count = math.comb(n, s) * math.comb(m, k)
-    _check_budget(count, budget)
+    sig, cor = _supports(n, m, s, k, budget)
 
     delta1 = exact_rip(a, s, budget).delta
     if s == 0 or k == 0:
         return delta1, 0.0
 
     cross = h.conj().T @ a
-    sig = _combo_array(n, s)
-    cor = _combo_array(m, k)
     n_cor = cor.shape[0]
+    count = sig.shape[0] * n_cor
     worst = 0.0
     for start in range(0, count, _CHUNK):
         stop = min(start + _CHUNK, count)
@@ -203,6 +258,8 @@ def recovery_threshold(s, k, lambda_reg):
     """
     if s < 1 or k < 1 or lambda_reg <= 0:
         raise DimensionError("need s, k >= 1 and lambda_reg > 0")
+    if not math.isfinite(lambda_reg):
+        raise ArgumentError(f"lambda_reg must be finite, got {lambda_reg}")
     lk = lambda_reg ** 2 * k
     eta = (s + lk) / min(s, lk)
     threshold = 1.0 / math.sqrt(1.0 + (1.0 / (2.0 * math.sqrt(2.0)) + math.sqrt(eta)) ** 2)
@@ -218,10 +275,10 @@ def certify_uniqueness(model, s, k, lambda_reg, budget=ENUM_BUDGET):
     bound returns the ground truth for every s-sparse signal combined
     with every k-sparse corruption.
     """
+    base = recovery_threshold(s, k, lambda_reg)
     a = materialize(model.A)
     h = materialize(model.H)
     report = exact_skrip(a, h, 2 * s, 2 * k, budget)
-    base = recovery_threshold(s, k, lambda_reg)
     return ThresholdReport(
         eta=base.eta,
         threshold=base.threshold,
@@ -234,6 +291,14 @@ def _log_clamped(v):
     return max(math.log(v), 1.0)
 
 
+def _check_bound_args(delta, **counts):
+    if not (math.isfinite(delta) and delta > 0):
+        raise ArgumentError(f"delta must be finite and positive, got {delta}")
+    for name, value in counts.items():
+        if not value >= 1:
+            raise ArgumentError(f"{name} must be at least 1, got {value}")
+
+
 def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta,
                                  c_signal=1.0, c_corruption=1.0):
     """Informational measurement bounds for the tight-frame model.
@@ -243,6 +308,7 @@ def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta,
     absolute constants are unknown; defaults of 1 make this a relative
     calculator, not a prescription.
     """
+    _check_bound_args(delta, s=s, k=k, n_tilde=n_tilde)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n_tilde)
     m_signal = c_signal * delta ** -2 * s * n_tilde * mu_b ** 2 * ls ** 2 * ln ** 2
     m_corruption = c_corruption * delta ** -2 * k * lk ** 2 * ln ** 2
@@ -269,6 +335,7 @@ def sample_bound_subsampled(s, k, n, mu_g, delta, c_coherence=1.0, c_log4=1.0,
     With unknown constants the raw numbers are not prescriptive, which
     the upper bound makes obvious at small delta.
     """
+    _check_bound_args(delta, s=s, k=k, n=n)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n)
     terms = (
         c_coherence * delta ** -2 * s * n * mu_g ** 2 * ls ** 2 * ln ** 2,
@@ -289,20 +356,13 @@ def skrip_support_extremes(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
     """Per-support extreme eigenvalues, for heat maps.
 
     Yields (signal_support, corruption_support, eig_min, eig_max) in
-    lexicographic order.
+    lexicographic order.  Every pair is solved, unlike in `exact_skrip`.
     """
-    a = _as_dense(a_matrix)
-    h = _as_dense(h_matrix)
-    m, n = a.shape
-    count = math.comb(n, s) * math.comb(m, k)
-    _check_budget(count, budget)
-    theta = np.concatenate([a, h], axis=1)
-    gram = theta.conj().T @ theta
-    sig = _combo_array(n, s)
-    cor = _combo_array(m, k)
+    gram, n = _joint_gram(a_matrix, h_matrix)
+    sig, cor = _supports(n, gram.shape[0] - n, s, k, budget)
     _, emin, emax = _pair_deviations(gram, sig, cor, n)
     n_cor = cor.shape[0]
-    for t in range(count):
+    for t in range(emin.size):
         wi, wj = divmod(t, n_cor)
         yield (tuple(int(i) for i in sig[wi]), tuple(int(i) for i in cor[wj]),
                float(emin[t]), float(emax[t]))

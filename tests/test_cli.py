@@ -223,6 +223,32 @@ class TestInputFailures:
         one_line_error(capsys, "ShapeError")
         assert not out.exists()
 
+    RIP = ["rip", "--family", "cs-ofdm", "--n", "8", "--m", "8"]
+
+    @pytest.mark.parametrize("flags, code, name", [
+        (["--s", "1", "--k", "1", "--lambda", "nan"], 1, "ArgumentError"),
+        (["--s", "1", "--k", "1", "--lambda", "inf"], 1, "ArgumentError"),
+        (["--s", "-1", "--k", "1"], 1, "DimensionError"),
+        (["--s", "1,2", "--k", "1"], 2, "--s"),
+        (["--s", "1", "--k", "1:2"], 2, "--k"),
+    ])
+    def test_bad_certificate_arguments(self, tmp_path, capsys, flags, code, name):
+        out = tmp_path / "out"
+        assert main(self.RIP + flags + ["--out", str(out)]) == code
+        one_line_error(capsys, name)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--theorem", "2", "--delta", "0", "--ntilde", "8", "--mu-b", "0.5"],
+        ["--theorem", "2", "--delta", "nan", "--ntilde", "8", "--mu-b", "0.5"],
+        ["--theorem", "3", "--delta", "0.5", "--n", "0", "--mu-g", "0.5"],
+    ])
+    def test_bad_bound_arguments(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["bounds", "--s", "1", "--k", "1", *flags, "--out", str(out)]) == 1
+        one_line_error(capsys, "ArgumentError")
+        assert not out.exists()
+
     def test_non_finite_tolerance(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["pt", "--family", "mtx1", "--n", "32", "--m", "16",

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from demixcs import BudgetError, build_cs_ofdm, custom_model
+from demixcs import (
+    ArgumentError,
+    BudgetError,
+    DimensionError,
+    build_cs_ofdm,
+    build_family,
+    custom_model,
+    rip,
+)
+from demixcs.linop import materialize
 from demixcs.rip import (
+    RipReport,
     certify_uniqueness,
     exact_rip,
     exact_skrip,
@@ -19,6 +29,23 @@ from conftest import random_complex, random_unitary
 
 
 HADAMARD2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+FIVE_FAMILIES = ("modulated-hadamard", "subsampled-hadamard",
+                 "partial-circulant", "cs-ofdm", "drpe")
+
+
+def exhaustive_report(a, h, s, k):
+    """The joint constant as full enumeration gives it, from every pair's extremes."""
+    rows = list(skrip_support_extremes(a, h, s, k))
+    devs = [max(emax - 1.0, 1.0 - emin) for _, _, emin, emax in rows]
+    delta = max(devs)
+    first = next(t for t, dev in enumerate(devs) if dev >= delta - 1e-14)
+    sig, cor, emin, emax = rows[first]
+    return RipReport(delta, sig, cor, emin, emax, len(rows)), devs
+
+
+def dense_model(family, n, m, seed=1):
+    model = build_family(family, n, m, seed=seed)
+    return materialize(model.A), materialize(model.H)
 
 
 class TestExactRip:
@@ -107,6 +134,102 @@ class TestExactSkrip:
         assert len(rows) == rep.supports_enumerated
         worst = max(max(emax - 1, 1 - emin) for _, _, emin, emax in rows)
         assert worst == pytest.approx(rep.delta, abs=1e-12)
+
+
+class TestPrunedSearch:
+    """exact_skrip solves only pairs whose bound can reach the maximum.
+
+    Its report must equal full enumeration bit for bit: float fields
+    compare with ==, and supports_enumerated counts every pair.
+    """
+
+    @pytest.mark.parametrize("family, n, m, s, k", [
+        *((family, 16, 8, 2, 2) for family in FIVE_FAMILIES),
+        ("modulated-hadamard", 16, 8, 0, 2),
+        ("modulated-hadamard", 16, 8, 2, 0),
+        ("partial-circulant", 16, 8, 3, 3),   # Frobenius bound on the cross block
+        ("drpe", 16, 8, 2, 3),                # closed form on the signal side
+    ])
+    def test_matches_full_enumeration(self, family, n, m, s, k):
+        a, h = dense_model(family, n, m)
+        expected, _ = exhaustive_report(a, h, s, k)
+        assert exact_skrip(a, h, s, k) == expected
+
+    def test_tie_heavy_ofdm_solves_only_the_ties(self, monkeypatch):
+        a, h = dense_model("cs-ofdm", 16, 16)
+        expected, devs = exhaustive_report(a, h, 2, 2)
+        ties = sum(dev >= expected.delta - 1e-14 for dev in devs)
+        assert (ties, len(devs)) == (1088, 14400)
+
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda stack: solved.append(len(stack)) or eigvalsh(stack))
+        assert exact_skrip(a, h, 2, 2) == expected
+        # 120 signal and 120 corruption supports, the floor pair, the ties
+        assert sum(solved) == 2 * 120 + 1 + ties
+
+    def test_bound_without_cross_term_loses_the_witness(self, monkeypatch):
+        # A lives on rows 2..5, so K = (0, 1) meets no cross block and the
+        # pair with the largest cross-free bound is solved exactly
+        gen = np.random.default_rng(0)
+        a = np.zeros((6, 9))
+        a[2:] = gen.standard_normal((4, 9))
+        a /= np.linalg.norm(a, axis=0)
+        h = np.eye(6)
+        expected, _ = exhaustive_report(a, h, 2, 2)
+        assert exact_skrip(a, h, 2, 2) == expected
+
+        bounds = rip._pair_bounds
+
+        def without_cross(gram, sig, cor, n, e, d):
+            gram = gram.copy()
+            gram[:n, n:] = 0.0
+            return bounds(gram, sig, cor, n, e, d)
+
+        monkeypatch.setattr(rip, "_pair_bounds", without_cross)
+        pruned = exact_skrip(a, h, 2, 2)
+        assert pruned.delta < expected.delta
+        assert pruned.witness_signal_support != expected.witness_signal_support
+
+
+class TestRipInputs:
+    def test_negative_sparsity(self):
+        for s, k in ((-1, 1), (1, -1)):
+            with pytest.raises(DimensionError):
+                exact_skrip(HADAMARD2, np.eye(2), s, k)
+        with pytest.raises(DimensionError):
+            exact_rip(HADAMARD2, -1)
+        with pytest.raises(DimensionError):
+            rip_split(HADAMARD2, np.eye(2), -1, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix(self, bad):
+        a = HADAMARD2.copy()
+        a[0, 1] = bad
+        with pytest.raises(ArgumentError):
+            exact_skrip(a, np.eye(2), 1, 1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(ArgumentError):
+            recovery_threshold(1, 1, lam)
+        with pytest.raises(ArgumentError):
+            certify_uniqueness(custom_model(HADAMARD2, np.eye(2)), 1, 1, lam)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf])
+    def test_bounds_reject_bad_delta(self, delta):
+        with pytest.raises(ArgumentError):
+            sample_bound_modulated_frame(1, 1, 8, 0.5, delta)
+        with pytest.raises(ArgumentError):
+            sample_bound_subsampled(1, 1, 8, 0.5, delta)
+
+    @pytest.mark.parametrize("s, k, size", [(0, 1, 8), (1, 0, 8), (1, 1, 0)])
+    def test_bounds_reject_counts_below_one(self, s, k, size):
+        with pytest.raises(ArgumentError):
+            sample_bound_modulated_frame(s, k, size, 0.5, 0.5)
+        with pytest.raises(ArgumentError):
+            sample_bound_subsampled(s, k, size, 0.5, 0.5)
 
 
 class TestRipSplit:
