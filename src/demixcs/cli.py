@@ -325,19 +325,16 @@ def _cmd_rip(cfg):
     p = cfg.params
     s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
     budget = p.get("budget", rip.ENUM_BUDGET)
-    base = rip.recovery_threshold(s, k, p.get("lambda", 1.0))
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    a = materialize(model.A)
-    h = materialize(model.H)
-    report = rip.exact_skrip(a, h, 2 * s, 2 * k, budget)
-    satisfied = report.delta < base.threshold
-    print(f"delta_2s2k = {report.delta:.6g}")
-    print(f"eta = {base.eta:.6g}")
-    print(f"threshold = {base.threshold:.6g}")
-    print(f"satisfied = {'true' if satisfied else 'false'}")
-    print(f"witness_signal_support = {list(report.witness_signal_support)}")
-    print(f"witness_corruption_support = {list(report.witness_corruption_support)}")
+    cert = rip.certify_uniqueness(model, s, k, p.get("lambda", 1.0), budget)
+    print(f"delta_2s2k = {cert.delta_2s2k:.6g}")
+    print(f"eta = {cert.eta:.6g}")
+    print(f"threshold = {cert.threshold:.6g}")
+    print(f"satisfied = {'true' if cert.satisfied else 'false'}")
+    print(f"witness_signal_support = {list(cert.skrip.witness_signal_support)}")
+    print(f"witness_corruption_support = {list(cert.skrip.witness_corruption_support)}")
     if "support-csv" in p:
+        a, h = materialize(model.A), materialize(model.H)
         rows = ["signal_support,corruption_support,eig_min,eig_max"]
         for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * s, 2 * k, budget):
             rows.append('"%s","%s",%.17g,%.17g' % (
@@ -347,8 +344,8 @@ def _cmd_rip(cfg):
         with open(sup_path, "w", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")
         print(f"wrote {sup_path}")
-    _write_manifest(cfg, extra={"delta_2s2k": "%.17g" % report.delta,
-                                "satisfied": str(satisfied).lower()})
+    _write_manifest(cfg, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
+                                "satisfied": str(cert.satisfied).lower()})
     return 0
 
 

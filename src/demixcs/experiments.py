@@ -9,7 +9,7 @@ on the calling thread.
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,6 +35,14 @@ STAB_COLUMNS = ("family", "n", "m", "s", "k", "solver", "eps_amp", "eps_ball",
 SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
+def _check_lambda(spec):
+    """A spec's solver_cfg must run with the spec's own lambda_reg."""
+    cfg = spec.solver_cfg
+    if cfg is not None and cfg.lambda_reg != spec.lambda_reg:
+        raise ArgumentError(f"solver_cfg.lambda_reg {cfg.lambda_reg} "
+                            f"differs from lambda_reg {spec.lambda_reg}")
+
+
 @dataclass(frozen=True)
 class PhaseTransitionSpec:
     """Grid of (s, k) cells; one matrix per cell, fresh instances per trial."""
@@ -55,6 +63,7 @@ class PhaseTransitionSpec:
             raise DemixError("sparsity grid exceeds model dimensions")
         if self.trials < 1:
             raise ArgumentError(f"trials must be at least 1, got {self.trials}")
+        _check_lambda(self)
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,7 @@ class StabilitySpec:
         if self.trials < 2:
             raise ArgumentError("trials must be at least 2, since a spread "
                                 f"needs two samples, got {self.trials}")
+        _check_lambda(self)
 
 
 @dataclass
@@ -122,13 +132,7 @@ def _pt_cell(spec, model, s_idx, k_idx):
         trial_seeds = [derive_seed(spec.master_seed, (1, s_idx, k_idx, t))
                        for t in range(spec.trials)]
         insts, y = _gen_batch(model, s, k, spec.setting, 0.0, trial_seeds)
-        cfg = spec.solver_cfg
-        if cfg.lambda_reg != spec.lambda_reg:
-            cfg = PenalizedL1Config(
-                lambda_reg=spec.lambda_reg, epsilon=cfg.epsilon,
-                max_iter=cfg.max_iter, tol=cfg.tol,
-                norm_estimate_tol=cfg.norm_estimate_tol)
-        results = solve_penalized_l1_batch(model, y, cfg)
+        results = solve_penalized_l1_batch(model, y, spec.solver_cfg)
         hits = [check_success(r, inst) for r, inst in zip(results, insts)]
         return float(np.mean(np.asarray(hits, dtype=np.float64)))
     except DemixError as exc:
@@ -169,11 +173,7 @@ def _stability_cell(spec, model, eps_idx):
         try:
             if name == "penalized_l1":
                 base = spec.solver_cfg or PenalizedL1Config(lambda_reg=spec.lambda_reg)
-                cfg = PenalizedL1Config(
-                    lambda_reg=spec.lambda_reg, epsilon=eps_ball,
-                    max_iter=base.max_iter, tol=base.tol,
-                    norm_estimate_tol=base.norm_estimate_tol)
-                results = solve_penalized_l1_batch(model, y, cfg)
+                results = solve_penalized_l1_batch(model, y, replace(base, epsilon=eps_ball))
             else:
                 results = solve_irls_lp_batch(model, y, spec.irls_cfg)
             errs = np.array([

@@ -59,6 +59,7 @@ class ThresholdReport:
     threshold: float
     delta_2s2k: float = None
     satisfied: bool = None
+    skrip: RipReport = None  # the exact search behind delta_2s2k, with its witness
 
 
 def _combo_array(n, r):
@@ -273,7 +274,8 @@ def certify_uniqueness(model, s, k, lambda_reg, budget=ENUM_BUDGET):
     sparsity levels and compares it against the recovery threshold.  A
     satisfied certificate means the penalized program with zero noise
     bound returns the ground truth for every s-sparse signal combined
-    with every k-sparse corruption.
+    with every k-sparse corruption.  The report keeps the exact search,
+    witness supports included, as `skrip`.
     """
     base = recovery_threshold(s, k, lambda_reg)
     a = materialize(model.A)
@@ -284,6 +286,7 @@ def certify_uniqueness(model, s, k, lambda_reg, budget=ENUM_BUDGET):
         threshold=base.threshold,
         delta_2s2k=report.delta,
         satisfied=bool(report.delta < base.threshold),
+        skrip=report,
     )
 
 
@@ -291,9 +294,12 @@ def _log_clamped(v):
     return max(math.log(v), 1.0)
 
 
-def _check_bound_args(delta, **counts):
+def _check_bound_args(delta, coherence, **counts):
     if not (math.isfinite(delta) and delta > 0):
         raise ArgumentError(f"delta must be finite and positive, got {delta}")
+    for name, value in coherence.items():
+        if not 0.0 < value <= 1.0:
+            raise ArgumentError(f"{name} must lie in (0, 1], got {value}")
     for name, value in counts.items():
         if not value >= 1:
             raise ArgumentError(f"{name} must be at least 1, got {value}")
@@ -308,7 +314,7 @@ def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta,
     absolute constants are unknown; defaults of 1 make this a relative
     calculator, not a prescription.
     """
-    _check_bound_args(delta, s=s, k=k, n_tilde=n_tilde)
+    _check_bound_args(delta, {"mu_b": mu_b}, s=s, k=k, n_tilde=n_tilde)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n_tilde)
     m_signal = c_signal * delta ** -2 * s * n_tilde * mu_b ** 2 * ls ** 2 * ln ** 2
     m_corruption = c_corruption * delta ** -2 * k * lk ** 2 * ln ** 2
@@ -335,7 +341,7 @@ def sample_bound_subsampled(s, k, n, mu_g, delta, c_coherence=1.0, c_log4=1.0,
     With unknown constants the raw numbers are not prescriptive, which
     the upper bound makes obvious at small delta.
     """
-    _check_bound_args(delta, s=s, k=k, n=n)
+    _check_bound_args(delta, {"mu_g": mu_g}, s=s, k=k, n=n)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n)
     terms = (
         c_coherence * delta ** -2 * s * n * mu_g ** 2 * ls ** 2 * ln ** 2,

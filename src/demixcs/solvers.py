@@ -9,9 +9,10 @@ operator [A, H]:
   counterpart with p < 1 and equality constraints.
 
 Both need only forward/adjoint applications, so the fast structured
-operators keep their advantage.  The cores run on column batches; a
-batch of right-hand sides shares one operator and every column follows
-its own iterate sequence with per-column stopping.  When [A, H] is real
+operators keep their advantage.  Both run on column batches through one
+loop: a batch of right-hand sides shares one operator, each solver
+supplies one iteration step, and a column that meets its stopping rule
+is frozen and dropped from the batch.  When [A, H] is real
 and y has no imaginary part the iterations run in float64; they round
 exactly as the complex128 iterations on the same data would, and the
 results are returned as complex128 either way.
@@ -77,6 +78,10 @@ class IrlsConfig:
             raise ArgumentError("nu, eps_init and eps_floor must be positive")
         if not 0.0 < self.eps_shrink < 1.0:
             raise ArgumentError("eps_shrink must lie in (0, 1)")
+        if self.outer_max < 1 or self.cg_max < 1 or self.cg_tol <= 0:
+            raise ArgumentError("outer_max, cg_max and cg_tol must be positive")
+        if self.eps_floor > self.eps_init:
+            raise ArgumentError("eps_floor must not exceed eps_init")
 
 
 @dataclass(frozen=True)
@@ -92,42 +97,44 @@ class SolveResult:
     eps_trace: tuple = None  # smoothing schedule, reweighted solver only
 
 
-def soft_threshold(v, t):
-    """Complex magnitude shrinkage: v -> v * max(0, 1 - t/|v|).
-
-    `t` may be a scalar or a per-coordinate vector of nonnegative
-    thresholds.  Zero entries stay zero.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise ArgumentError("thresholds must be nonnegative")
-    if t.ndim > 0 and t.shape != v.shape:
-        raise DimensionError("threshold vector must match the input shape")
-    mag = np.abs(v)
-    keep = np.maximum(mag - t, 0.0)
-    return v * (keep / np.maximum(mag, _TINY))
-
-
-def project_ball(v, center, radius):
-    """Euclidean projection of v onto the ball around `center`."""
-    v = np.asarray(v, dtype=np.complex128)
-    center = np.asarray(center, dtype=np.complex128)
-    if v.shape != center.shape:
-        raise DimensionError("center must match the input shape")
-    if radius < 0:
-        raise ArgumentError("radius must be nonnegative")
-    diff = v - center
-    dist = np.linalg.norm(diff)
-    if dist <= radius:
-        return v.copy()
-    if radius == 0:
-        return center.copy()
-    return center + (radius / dist) * diff
+def _shrink(v, mag, t):
+    """v * max(mag - t, 0) / mag for mag = |v|, in v's dtype; `t` may vary by row."""
+    return v * (np.maximum(mag - t, 0.0) / np.maximum(mag, _TINY))
 
 
 def _col_norms(a):
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
+
+
+def _run_batch(state, step, max_iter):
+    """The freeze-and-compact loop shared by both solvers.
+
+    `state` is a tuple of arrays whose last axis holds the columns, and
+    `step(it, state)` returns the next state with a mask of the columns
+    that finished on iteration `it`.  Finished columns are stored and
+    dropped, so later steps run on the rest only.  Returns each column's
+    final state, its iteration count and whether it finished.
+    """
+    total = state[0].shape[-1]
+    out = tuple(np.zeros_like(a) for a in state)
+    out_it = np.full(total, max_iter, dtype=np.int64)
+    out_ok = np.zeros(total, dtype=bool)
+    alive = np.arange(total)
+    for it in range(1, max_iter + 1):
+        state, done = step(it, state)
+        if done.any():
+            cols = alive[done]
+            for o, a in zip(out, state):
+                o[..., cols] = a[..., done]
+            out_it[cols] = it
+            out_ok[cols] = True
+            alive = alive[~done]
+            if not alive.size:
+                return out, out_it, out_ok
+            state = tuple(a[..., ~done] for a in state)
+    for o, a in zip(out, state):
+        o[..., alive] = a
+    return out, out_it, out_ok
 
 
 def _cg_batch(apply_fn, b, x0, tol, max_iter):
@@ -162,16 +169,6 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter):
     return x, ~active
 
 
-def cg_solve(op, b, tol=1e-10, max_iter=1000):
-    """Solve op x = b for a Hermitian positive semidefinite operator."""
-    b = np.asarray(b, dtype=np.complex128)
-    if b.ndim != 1 or b.shape[0] != op.rows or op.rows != op.cols:
-        raise DimensionError("cg_solve needs a square operator and matching vector")
-    x, _ = _cg_batch(lambda q: op.apply(q), b[:, None],
-                     np.zeros((op.rows, 1), dtype=np.complex128), tol, max_iter)
-    return x[:, 0]
-
-
 def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
     """Primal-dual iteration on a column batch.
 
@@ -179,55 +176,26 @@ def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
     of `y`.  Converged columns freeze at the iteration where both the
     relative primal and relative dual change dropped to `tol`.
     """
-    dim = theta.cols
-    m, total = y.shape
-    out_u = np.zeros((dim, total), dtype=y.dtype)
-    out_it = np.full(total, max_iter, dtype=np.int64)
-    out_ok = np.zeros(total, dtype=bool)
-
-    alive = np.arange(total)
-    u = np.zeros((dim, total), dtype=y.dtype)
-    ubar = np.zeros_like(u)
-    p = np.zeros((m, total), dtype=y.dtype)
-    y_a = y.copy()
     thr = thresholds[:, None]
 
-    for it in range(1, max_iter + 1):
+    def iterate(it, state):
+        u, ubar, p, y_a = state
         r = p + step * (theta.apply(ubar) - y_a)
         if eps > 0:
-            rn = _col_norms(r)
-            p_new = r * np.maximum(0.0, 1.0 - step * eps / np.maximum(rn, _TINY))
+            # not _shrink(r, norms, step * eps), which rounds eps > 0 runs differently
+            p_new = r * np.maximum(0.0, 1.0 - step * eps / np.maximum(_col_norms(r), _TINY))
         else:
             p_new = r
         v = u - step * theta.apply_adjoint(p_new)
-        mag = np.abs(v)
-        keep = np.maximum(mag - thr, 0.0)
-        u_new = v * (keep / np.maximum(mag, _TINY))
-
+        u_new = _shrink(v, np.abs(v), thr)
         prim = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         dual = _col_norms(p_new - p) / np.maximum(_col_norms(p_new), _TINY)
-        done = np.maximum(prim, dual) <= tol
+        return (u_new, 2.0 * u_new - u, p_new, y_a), np.maximum(prim, dual) <= tol
 
-        ubar = 2.0 * u_new - u
-        u = u_new
-        p = p_new
-
-        if done.any():
-            cols = alive[done]
-            out_u[:, cols] = u[:, done]
-            out_it[cols] = it
-            out_ok[cols] = True
-            stay = ~done
-            if not stay.any():
-                return out_u, out_it, out_ok
-            alive = alive[stay]
-            u = u[:, stay]
-            ubar = ubar[:, stay]
-            p = p[:, stay]
-            y_a = y_a[:, stay]
-
-    out_u[:, alive] = u
-    return out_u, out_it, out_ok
+    u0 = np.zeros((theta.cols, y.shape[1]), dtype=y.dtype)
+    state = (u0, u0.copy(), np.zeros_like(y), y)
+    (u, *_), iters, ok = _run_batch(state, iterate, max_iter)
+    return u, iters, ok
 
 
 def _batchify(model, y):
@@ -248,28 +216,34 @@ def _working_data(theta, y_mat):
     return y_mat
 
 
+def _results(model, y_mat, u, iters, ok, objective, traces=None):
+    """One SolveResult per column of the final iterates `u` = (x; z)."""
+    results = []
+    for j in range(y_mat.shape[1]):
+        x_hat = u[:model.n, j].astype(np.complex128)
+        z_hat = u[model.n:, j].astype(np.complex128)
+        resid = float(np.linalg.norm(
+            y_mat[:, j] - model.A.apply(x_hat) - model.H.apply(z_hat)))
+        results.append(SolveResult(
+            x_hat=x_hat, z_hat=z_hat, iterations=int(iters[j]),
+            residual=resid, objective=objective(x_hat, z_hat),
+            status="converged" if ok[j] else "max_iter",
+            eps_trace=None if traces is None
+            else tuple(float(t) for t in traces[:iters[j], j])))
+    return results
+
+
 def solve_penalized_l1_batch(model, y, cfg):
     """Penalized-l1 recovery for a batch of observations (columns of y)."""
     y_mat = _batchify(model, y)
-    n, m = model.n, model.m
     theta = hstack(model.A, model.H)
     norm_est = power_iteration(theta, tol=cfg.norm_estimate_tol, max_iter=500, seed=0)
     step = 0.99 / max(norm_est.value, _TINY)
-    weights = np.concatenate([np.ones(n), cfg.lambda_reg * np.ones(m)])
+    weights = np.concatenate([np.ones(model.n), cfg.lambda_reg * np.ones(model.m)])
     u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), step * weights,
                               step, cfg.epsilon, cfg.tol, cfg.max_iter)
-    results = []
-    for j in range(y_mat.shape[1]):
-        x_hat = u[:n, j].astype(np.complex128)
-        z_hat = u[n:, j].astype(np.complex128)
-        resid = float(np.linalg.norm(
-            y_mat[:, j] - model.A.apply(x_hat) - model.H.apply(z_hat)))
-        obj = float(np.sum(np.abs(x_hat)) + cfg.lambda_reg * np.sum(np.abs(z_hat)))
-        results.append(SolveResult(
-            x_hat=x_hat, z_hat=z_hat, iterations=int(iters[j]),
-            residual=resid, objective=obj,
-            status="converged" if ok[j] else "max_iter"))
-    return results
+    return _results(model, y_mat, u, iters, ok, lambda x, z: float(
+        np.sum(np.abs(x)) + cfg.lambda_reg * np.sum(np.abs(z))))
 
 
 def solve_penalized_l1(model, y, cfg):
@@ -294,75 +268,30 @@ def solve_irls_lp_batch(model, y, cfg):
     iterate stagnates relative to sqrt(eps)/100, floored at eps_floor.
     """
     y_mat = _batchify(model, y)
-    n, m = model.n, model.m
     theta = hstack(model.A, model.H)
     total = y_mat.shape[1]
     exponent = cfg.p / 2.0 - 1.0
 
-    y_a = _working_data(theta, y_mat)
-    out_u = np.zeros((n + m, total), dtype=y_a.dtype)
-    out_it = np.full(total, cfg.outer_max, dtype=np.int64)
-    out_ok = np.zeros(total, dtype=bool)
-    eps_hist = []
-
-    alive = np.arange(total)
-    u = np.zeros((n + m, total), dtype=y_a.dtype)
-    q = np.zeros((m, total), dtype=y_a.dtype)
-    eps_k = np.full(total, cfg.eps_init)
-    eps_full = np.full(total, cfg.eps_init)
-
-    for outer in range(1, cfg.outer_max + 1):
+    def iterate(outer, state):
+        u, q, eps_k, eps_hist, y_a = state
         w = (np.abs(u) ** 2 + (eps_k ** 2)[None, :]) ** exponent
-        w[n:] *= cfg.nu
+        w[model.n:] *= cfg.nu
         inv_w = 1.0 / w
-
-        def normal_apply(qm, inv_w=inv_w):
-            return theta.apply(inv_w * theta.apply_adjoint(qm))
-
-        q, _ = _cg_batch(normal_apply, y_a, q, cfg.cg_tol, cfg.cg_max)
+        q, _ = _cg_batch(lambda qm: theta.apply(inv_w * theta.apply_adjoint(qm)),
+                         y_a, q, cfg.cg_tol, cfg.cg_max)
         u_new = inv_w * theta.apply_adjoint(q)
         rel = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
-        u = u_new
-
         shrink = rel < np.sqrt(eps_k) / 100.0
         eps_k = np.where(shrink, np.maximum(cfg.eps_floor, cfg.eps_shrink * eps_k), eps_k)
-        eps_full[alive] = eps_k
-        eps_hist.append(eps_full.copy())
+        eps_hist[outer - 1] = eps_k
+        return (u_new, q, eps_k, eps_hist, y_a), rel <= 1e-10
 
-        done = rel <= 1e-10
-        if done.any():
-            cols = alive[done]
-            out_u[:, cols] = u[:, done]
-            out_it[cols] = outer
-            out_ok[cols] = True
-            stay = ~done
-            if not stay.any():
-                alive = alive[:0]
-                break
-            alive = alive[stay]
-            u = u[:, stay]
-            q = q[:, stay]
-            eps_k = eps_k[stay]
-            y_a = y_a[:, stay]
-
-    if alive.size:
-        out_u[:, alive] = u
-
-    traces = np.array(eps_hist) if eps_hist else np.zeros((0, total))
-    results = []
-    for j in range(total):
-        x_hat = out_u[:n, j].astype(np.complex128)
-        z_hat = out_u[n:, j].astype(np.complex128)
-        resid = float(np.linalg.norm(
-            y_mat[:, j] - model.A.apply(x_hat) - model.H.apply(z_hat)))
-        obj = float(np.sum(np.abs(x_hat) ** cfg.p)
-                    + cfg.nu * np.sum(np.abs(z_hat) ** cfg.p))
-        results.append(SolveResult(
-            x_hat=x_hat, z_hat=z_hat, iterations=int(out_it[j]),
-            residual=resid, objective=obj,
-            status="converged" if out_ok[j] else "max_iter",
-            eps_trace=tuple(float(t) for t in traces[:out_it[j], j])))
-    return results
+    y_a = _working_data(theta, y_mat)
+    state = (np.zeros((model.n + model.m, total), dtype=y_a.dtype), np.zeros_like(y_a),
+             np.full(total, cfg.eps_init), np.zeros((cfg.outer_max, total)), y_a)
+    (u, _, _, eps_hist, _), iters, ok = _run_batch(state, iterate, cfg.outer_max)
+    return _results(model, y_mat, u, iters, ok, lambda x, z: float(
+        np.sum(np.abs(x) ** cfg.p) + cfg.nu * np.sum(np.abs(z) ** cfg.p)), eps_hist)
 
 
 def solve_irls_lp(model, y, cfg):

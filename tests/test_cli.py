@@ -242,6 +242,10 @@ class TestInputFailures:
         ["--theorem", "2", "--delta", "0", "--ntilde", "8", "--mu-b", "0.5"],
         ["--theorem", "2", "--delta", "nan", "--ntilde", "8", "--mu-b", "0.5"],
         ["--theorem", "3", "--delta", "0.5", "--n", "0", "--mu-g", "0.5"],
+        ["--theorem", "2", "--delta", "0.5", "--ntilde", "8", "--mu-b", "nan"],
+        ["--theorem", "2", "--delta", "0.5", "--ntilde", "8", "--mu-b", "1.5"],
+        ["--theorem", "3", "--delta", "0.5", "--n", "8", "--mu-g", "-3"],
+        ["--theorem", "3", "--delta", "0.5", "--n", "8", "--mu-g", "0"],
     ])
     def test_bad_bound_arguments(self, tmp_path, capsys, flags):
         out = tmp_path / "out"

@@ -219,6 +219,15 @@ class TestStability:
                           eps_values=(0.1, 0.0), trials=2, master_seed=0)
 
 
+def test_specs_reject_a_solver_cfg_with_another_lambda():
+    with pytest.raises(ArgumentError, match="lambda_reg"):
+        tiny_pt_spec(lambda_reg=2.0)
+    with pytest.raises(ArgumentError, match="lambda_reg"):
+        StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                      eps_values=(0.0,), trials=2, lambda_reg=2.0,
+                      solver_cfg=FAST_CFG, master_seed=0)
+
+
 def test_sweep_cells_run_on_the_calling_thread(tmp_path, monkeypatch):
     from demixcs import experiments
     from demixcs.cli import main

@@ -300,6 +300,7 @@ class TestCertifyUniqueness:
         rep = certify_uniqueness(model, 1, 1, 1.0)
         direct = exact_skrip(q, np.eye(8), 2, 2)
         assert rep.delta_2s2k == pytest.approx(direct.delta, abs=1e-12)
+        assert rep.skrip == direct
 
     def test_threshold_field_matches_formula(self):
         model = custom_model(HADAMARD2, np.eye(2))

@@ -3,6 +3,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from demixcs import (
     ArgumentError,
@@ -14,6 +17,7 @@ from demixcs import (
     gen_instance,
 )
 from demixcs.linop import Dense, Diagonal, hstack, identity
+from demixcs.models import build_family
 from demixcs.rip import certify_uniqueness
 from demixcs.seeding import derive_seed
 from demixcs.solvers import (
@@ -21,13 +25,12 @@ from demixcs.solvers import (
     PenalizedL1Config,
     _cg_batch,
     _pdhg_core,
-    cg_solve,
+    _shrink,
     check_success,
-    project_ball,
     solve_irls_lp,
+    solve_irls_lp_batch,
     solve_penalized_l1,
     solve_penalized_l1_batch,
-    soft_threshold,
 )
 
 from conftest import random_complex
@@ -46,6 +49,14 @@ def certified_model():
     return model
 
 
+def soft_threshold(v, t):
+    return _shrink(v, np.abs(v), t)
+
+
+# magnitudes under the 1e-300 division guard are flushed toward zero by design
+_REALS = st.floats(-1e6, 1e6).map(lambda a: a if abs(a) >= 1e-200 else 0.0)
+
+
 class TestSoftThreshold:
     def test_basic(self):
         out = soft_threshold(np.array([3.0, -1.0]), np.array([1.0, 1.0]))
@@ -59,10 +70,6 @@ class TestSoftThreshold:
         assert soft_threshold(np.array([3 + 4j]), 5.0)[0] == 0
         out = soft_threshold(np.array([3 + 4j]), 2.5)[0]
         assert abs(out - (1.5 + 2j)) < 1e-14
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ArgumentError):
-            soft_threshold(np.ones(2), np.array([0.5, -0.1]))
 
     def test_prox_optimality_against_grid(self, rng):
         # 1e3-point scan of t|u| + 0.5|u - v|^2 along the phase of v
@@ -78,43 +85,53 @@ class TestSoftThreshold:
             )
             assert f_got <= best + 1e-4
 
+    @settings(max_examples=200, deadline=None)
+    @given(re=arrays(np.float64, (5, 3), elements=_REALS),
+           im=arrays(np.float64, (5, 3), elements=_REALS),
+           t=arrays(np.float64, (5, 1), elements=st.floats(0, 1e6)))
+    def test_shrinks_magnitude_keeps_phase_and_dtype(self, re, im, t):
+        real = soft_threshold(re, t)
+        cast = soft_threshold(re.astype(np.complex128), t)
+        assert real.dtype == np.float64 and cast.dtype == np.complex128
+        assert real.tobytes() == cast.real.tobytes() and not np.any(cast.imag)
+        v = re + 1j * im
+        out = soft_threshold(v, t)
+        mag = np.abs(v)
+        assert out.dtype == np.complex128
+        assert np.allclose(np.abs(out), np.maximum(mag - t, 0.0), rtol=1e-13, atol=0.0)
+        # the kept part points along v: out * conj(v) is real and nonnegative
+        turn = out * np.conj(v)
+        assert np.all(turn.real >= 0.0)
+        assert np.all(np.abs(turn.imag) <= 1e-13 * np.abs(out) * mag)
 
-class TestProjectBall:
-    def test_interior_point_unchanged(self, rng):
-        v = random_complex(rng, 4) * 0.1
-        out = project_ball(v, np.zeros(4), 10.0)
-        assert np.array_equal(out, v)
 
-    def test_boundary_scaling(self):
-        out = project_ball(np.array([3.0, 4.0]), np.zeros(2), 1.0)
-        assert np.allclose(out, [0.6, 0.8])
-
-    def test_zero_radius_returns_center(self, rng):
-        c = random_complex(rng, 3)
-        assert np.array_equal(project_ball(c + 1.0, c, 0.0), c)
+def cg(op, b, tol=1e-10, max_iter=1000):
+    x, _ = _cg_batch(op.apply, b[:, None], np.zeros((op.rows, 1), dtype=b.dtype),
+                      tol, max_iter)
+    return x[:, 0]
 
 
 class TestCgSolve:
     def test_identity_one_step(self):
         b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(cg_solve(identity(3), b), b)
+        assert np.allclose(cg(identity(3), b), b)
 
     def test_diagonal(self):
         op = Diagonal(np.array([1.0, 2.0, 4.0]))
-        x = cg_solve(op, np.array([1.0, 2.0, 4.0]), tol=1e-12)
+        x = cg(op, np.array([1.0, 2.0, 4.0]), tol=1e-12)
         assert np.abs(x - 1.0).max() <= 1e-10
 
     def test_random_spd_matches_dense_solve(self, rng):
         g = random_complex(rng, 8, 8)
         mat = g.conj().T @ g + np.eye(8)
         b = random_complex(rng, 8)
-        x = cg_solve(Dense(mat), b, tol=1e-12, max_iter=200)
+        x = cg(Dense(mat), b, tol=1e-12, max_iter=200)
         assert np.linalg.norm(mat @ x - b) <= 1e-10 * np.linalg.norm(b)
         assert np.linalg.norm(x - np.linalg.solve(mat, b)) <= 1e-8
 
     def test_negative_curvature_raises(self):
         with pytest.raises(NumericalError):
-            cg_solve(Diagonal(np.array([-1.0, -2.0])), np.ones(2))
+            cg(Diagonal(np.array([-1.0, -2.0])), np.ones(2))
 
 
 class TestPenalizedL1:
@@ -178,16 +195,31 @@ class TestPenalizedL1:
         assert np.array_equal(a.z_hat, b.z_hat)
         assert a.iterations == b.iterations and a.residual == b.residual
 
-    def test_batch_results_are_per_column(self, certified_model):
-        cfg = PenalizedL1Config(lambda_reg=1.0)
-        insts = [gen_instance(certified_model, 1, 1, "gaussian", 0.0,
-                              seed=derive_seed(31, (t,))) for t in range(5)]
-        y = np.stack([inst.y for inst in insts], axis=1)
-        rs = solve_penalized_l1_batch(certified_model, y, cfg)
-        for r, inst in zip(rs, insts):
-            err = (np.linalg.norm(r.x_hat - inst.x_true)
-                   + np.linalg.norm(r.z_hat - inst.z_true))
-            assert err <= 1e-6
+    def test_batch_results_are_per_column(self):
+        for family, n, m, seed in [("mtx1", 64, 32, 3), ("cs-ofdm", 32, 32, 11),
+                                   ("partial-circulant", 64, 32, 5)]:
+            model = build_family(family, n, m, seed)
+            insts = [gen_instance(model, 1, 1, "gaussian", 0.0,
+                                  seed=derive_seed(31, (t,))) for t in range(5)]
+            y = np.stack([inst.y for inst in insts], axis=1)
+            cfg = PenalizedL1Config(lambda_reg=1.0)
+            rs = solve_penalized_l1_batch(model, y, cfg)
+            for r, inst in zip(rs, insts):
+                err = (np.linalg.norm(r.x_hat - inst.x_true)
+                       + np.linalg.norm(r.z_hat - inst.z_true))
+                assert err <= 1e-6
+            # columns that stop at different iterations end as if solved alone
+            irls = solve_irls_lp_batch(model, y, IrlsConfig())
+            for batch in (rs, irls):
+                assert len({r.iterations for r in batch}) > 1
+            for j, (r, ir) in enumerate(zip(rs, irls)):
+                alone = solve_penalized_l1(model, y[:, j], cfg)
+                assert alone.x_hat.tobytes() == r.x_hat.tobytes()
+                assert alone.z_hat.tobytes() == r.z_hat.tobytes()
+                assert (alone.iterations, alone.status) == (r.iterations, r.status)
+                alone = solve_irls_lp(model, y[:, j], IrlsConfig())
+                assert (alone.iterations, alone.status, alone.eps_trace) == (
+                    ir.iterations, ir.status, ir.eps_trace)
 
 
 class TestIrls:
@@ -243,10 +275,13 @@ class TestIrls:
         assert a.eps_trace == b.eps_trace
 
     def test_config_validation(self):
-        with pytest.raises(ArgumentError):
-            IrlsConfig(p=1.5)
-        with pytest.raises(ArgumentError):
-            IrlsConfig(eps_shrink=1.0)
+        for bad in (dict(p=1.5), dict(eps_shrink=1.0), dict(outer_max=0),
+                    dict(outer_max=-3), dict(cg_max=0), dict(cg_tol=0.0),
+                    dict(cg_tol=-1e-10), dict(eps_floor=2.0, eps_init=1.0)):
+            with pytest.raises(ArgumentError):
+                IrlsConfig(**bad)
+        # a schedule that starts at its floor stays there
+        assert IrlsConfig(eps_floor=1.0, eps_init=1.0).eps_floor == 1.0
 
 
 class TestConfigFiniteness:
