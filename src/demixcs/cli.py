@@ -118,11 +118,12 @@ def parse_float_list(text, flag):
         raise UsageError(f"cannot parse {flag} value '{text}'") from None
 
 
-def _single_int(text, flag):
+def _single_int(text, flag, convert=int):
     try:
-        return int(text)
+        return convert(text)
     except ValueError:
-        raise UsageError(f"'--{flag}' takes one integer here, got '{text}'") from None
+        kind = "integer" if convert is int else "number"
+        raise UsageError(f"'--{flag}' takes one {kind} here, got '{text}'") from None
 
 
 def _read_config_file(path):
@@ -233,9 +234,10 @@ def _cmd_model(cfg):
 
 def _cmd_gen(cfg):
     p = cfg.params
+    s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
+    noise_amp = _single_int(p.get("eps") or "0", "eps", float)
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    noise_amp = float(p.get("eps", "0") or 0)
-    inst = gen_instance(model, int(p["s"]), int(p["k"]),
+    inst = gen_instance(model, s, k,
                         p.get("setting", "gaussian"), noise_amp, cfg.seed,
                         noise_model=p.get("noise-model", "symmetric"))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -248,8 +250,8 @@ def _cmd_gen(cfg):
 
 def _cmd_solve(cfg):
     p = cfg.params
+    eps = _single_int(p.get("eps") or "0", "eps", float)
     inst = io.load_instance(p["instance"])
-    eps = float(p.get("eps", "0") or 0)
     which = p.get("solver", "penalized_l1")
     if which == "penalized_l1":
         scfg = PenalizedL1Config(
@@ -303,7 +305,7 @@ def _cmd_stability(cfg):
     solvers = tuple(p.get("solver", "penalized_l1,irls_lp").split(","))
     spec = StabilitySpec(
         family=canonical_family(p["family"]), n=p["n"], m=p["m"],
-        s=int(p["s"]), k=int(p["k"]),
+        s=_single_int(p["s"], "s"), k=_single_int(p["k"], "k"),
         eps_values=parse_float_list(p["eps"], "--eps"),
         trials=p["trials"], solvers=solvers,
         irls_cfg=IrlsConfig(p=p.get("p", 0.5), nu=p.get("nu", 1.0)),

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DemixError, SchemaError
-from .models import build_family, gen_instance
+from .models import SETTINGS, build_family, gen_instance
 from .seeding import derive_seed
 from .solvers import (
     IrlsConfig,
@@ -61,6 +61,10 @@ class PhaseTransitionSpec:
     def __post_init__(self):
         if max(self.s_values) > self.n or max(self.k_values) > self.m:
             raise DemixError("sparsity grid exceeds model dimensions")
+        if min(self.s_values) < 0 or min(self.k_values) < 0:
+            raise ArgumentError("sparsity grid has a negative level")
+        if self.setting not in SETTINGS:
+            raise ArgumentError(f"unknown setting '{self.setting}'")
         if self.trials < 1:
             raise ArgumentError(f"trials must be at least 1, got {self.trials}")
         _check_lambda(self)

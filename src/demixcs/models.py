@@ -305,8 +305,8 @@ def gen_sparse(length, s, setting, seed):
     Flat setting: every nonzero equals exactly 1 (constant sign, for
     stress-testing methods that rely on sign randomness).
     """
-    if s > length:
-        raise SparsityError(f"sparsity {s} exceeds length {length}")
+    if not 0 <= s <= length:
+        raise SparsityError(f"sparsity {s} outside [0, {length}]")
     if setting not in SETTINGS:
         raise ShapeError(f"unknown setting '{setting}'")
     v = np.zeros(length, dtype=np.complex128)

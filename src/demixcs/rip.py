@@ -226,28 +226,15 @@ def rip_split(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
     delta1 is the standard isometry constant of A at sparsity s; delta2
     is the largest spectral norm of a k x s cross block H_K* A_S, which
     equals twice the worst signal/corruption inner product over the unit
-    sphere.  The joint constant never exceeds delta1 + delta2.
+    sphere.  The joint constant never exceeds delta1 + delta2.  delta2 is
+    the joint search on the Gram of [A, H] with identity diagonal blocks,
+    where a pair's eigenvalues are 1 +- its cross block's singular values.
     """
-    a = _as_dense(a_matrix)
-    h = _as_dense(h_matrix)
-    m, n = a.shape
-    sig, cor = _supports(n, m, s, k, budget)
-
-    delta1 = exact_rip(a, s, budget).delta
-    if s == 0 or k == 0:
-        return delta1, 0.0
-
-    cross = h.conj().T @ a
-    n_cor = cor.shape[0]
-    count = sig.shape[0] * n_cor
-    worst = 0.0
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        t = np.arange(start, stop)
-        blocks = cross[cor[t % n_cor][:, :, None], sig[t // n_cor][:, None, :]]
-        sv = np.linalg.svd(blocks, compute_uv=False)
-        worst = max(worst, float(sv[:, 0].max()))
-    return delta1, worst
+    gram, n = _joint_gram(a_matrix, h_matrix)
+    gram[:n, :n] = np.eye(n)
+    gram[n:, n:] = np.eye(gram.shape[0] - n)
+    delta2 = _support_search(gram, n, s, k, budget).delta
+    return exact_rip(a_matrix, s, budget).delta, delta2
 
 
 def recovery_threshold(s, k, lambda_reg):

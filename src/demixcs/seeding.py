@@ -8,6 +8,15 @@ the same stream, independent of evaluation order or worker count.
 
 import numpy as np
 
+from .errors import ArgumentError
+
+
+def _sequence(seed, path):
+    key = tuple(int(p) for p in path)
+    if int(seed) < 0 or any(p < 0 for p in key):
+        raise ArgumentError(f"seed {seed} and path {key} must be nonnegative")
+    return np.random.SeedSequence(int(seed), spawn_key=key)
+
 
 def derive_seed(master_seed, path):
     """Derive a child seed from a master seed and an integer path.
@@ -16,13 +25,10 @@ def derive_seed(master_seed, path):
     consumer (cell index, trial index, ...).  Returns a 128-bit integer
     suitable as a seed for `rng`.
     """
-    key = tuple(int(p) for p in path)
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=key)
+    ss = _sequence(master_seed, path)
     return int.from_bytes(ss.generate_state(2, np.uint64).tobytes(), "little")
 
 
 def rng(seed, *path):
     """Counter-based generator for the stream (seed, path)."""
-    key = tuple(int(p) for p in path)
-    ss = np.random.SeedSequence(int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_sequence(seed, path)))

@@ -9,10 +9,11 @@ operator [A, H]:
   counterpart with p < 1 and equality constraints.
 
 Both need only forward/adjoint applications, so the fast structured
-operators keep their advantage.  Both run on column batches through one
-loop: a batch of right-hand sides shares one operator, each solver
-supplies one iteration step, and a column that meets its stopping rule
-is frozen and dropped from the batch.  When [A, H] is real
+operators keep their advantage.  Both, and the conjugate-gradient solves
+inside each reweighted pass, run on column batches through one loop: a
+batch of right-hand sides shares one operator, each solver supplies one
+iteration step, and a column that meets its stopping rule is frozen and
+dropped from the batch.  When [A, H] is real
 and y has no imaginary part the iterations run in float64; they round
 exactly as the complex128 iterations on the same data would, and the
 results are returned as complex128 either way.
@@ -106,22 +107,25 @@ def _col_norms(a):
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
 
 
-def _run_batch(state, step, max_iter):
-    """The freeze-and-compact loop shared by both solvers.
+def _run_batch(state, step, max_iter, done=None):
+    """The freeze-and-compact loop shared by PDHG, IRLS and its CG solves.
 
     `state` is a tuple of arrays whose last axis holds the columns, and
     `step(it, state)` returns the next state with a mask of the columns
     that finished on iteration `it`.  Finished columns are stored and
-    dropped, so later steps run on the rest only.  Returns each column's
-    final state, its iteration count and whether it finished.
+    dropped, so later steps run on the rest only; `done` marks columns
+    finished before the first step, stored with count 0.  Returns each
+    column's final state, its iteration count and whether it finished.
     """
     total = state[0].shape[-1]
     out = tuple(np.zeros_like(a) for a in state)
     out_it = np.full(total, max_iter, dtype=np.int64)
     out_ok = np.zeros(total, dtype=bool)
     alive = np.arange(total)
-    for it in range(1, max_iter + 1):
-        state, done = step(it, state)
+    done = np.zeros(total, dtype=bool) if done is None else done
+    for it in range(max_iter + 1):
+        if it:
+            state, done = step(it, state)
         if done.any():
             cols = alive[done]
             for o, a in zip(out, state):
@@ -137,36 +141,36 @@ def _run_batch(state, step, max_iter):
     return out, out_it, out_ok
 
 
-def _cg_batch(apply_fn, b, x0, tol, max_iter):
+def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
     """Conjugate gradient on a Hermitian PSD operator, per-column stopping.
 
-    Columns stop once ||r|| <= tol * ||b||; finished columns freeze.  A
-    nonpositive curvature on a still-active column raises NumericalError.
+    `apply_fn(v, *data)` applies the operator; `data` holds per-column
+    arrays that compact with the batch.  Columns stop once
+    ||r|| <= tol * ||b|| and freeze in `_run_batch`, those already there
+    on entry included.  A nonpositive curvature raises NumericalError.
     """
-    x = x0.copy()
-    r = b - apply_fn(x)
-    p = r.copy()
+    r = b - apply_fn(x0, *data)
     rs = np.sum(np.abs(r) ** 2, axis=0)
     goal = (tol * np.maximum(_col_norms(b), _TINY)) ** 2
-    active = rs > goal
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        ap = apply_fn(p)
+
+    def iterate(_, state):
+        x, r, p, rs, goal, *data = state
+        ap = apply_fn(p, *data)
         # summed as complex128 so a real batch rounds like its complex twin
         # (numpy orders single-column float and complex sums differently)
         pap = np.real(np.sum((np.conj(p) * ap).astype(np.complex128, copy=False), axis=0))
-        if np.any(active & (pap <= 0.0)):
+        if np.any(pap <= 0.0):
             raise NumericalError("conjugate gradient lost positive curvature")
-        alpha = np.where(active, rs / np.where(pap > 0, pap, 1.0), 0.0)
+        alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
         rs_new = np.sum(np.abs(r) ** 2, axis=0)
-        beta = np.where(active, rs_new / np.maximum(rs, _TINY), 0.0)
-        p = r + beta * p
-        rs = rs_new
-        active = active & (rs > goal)
-    return x, ~active
+        p = r + (rs_new / rs) * p
+        return (x, r, p, rs_new, goal, *data), rs_new <= goal
+
+    (x, *_), _, ok = _run_batch((x0, r, r, rs, goal, *data), iterate, max_iter,
+                                done=rs <= goal)
+    return x, ok
 
 
 def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
@@ -181,11 +185,7 @@ def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
     def iterate(it, state):
         u, ubar, p, y_a = state
         r = p + step * (theta.apply(ubar) - y_a)
-        if eps > 0:
-            # not _shrink(r, norms, step * eps), which rounds eps > 0 runs differently
-            p_new = r * np.maximum(0.0, 1.0 - step * eps / np.maximum(_col_norms(r), _TINY))
-        else:
-            p_new = r
+        p_new = _shrink(r, _col_norms(r), step * eps) if eps > 0 else r
         v = u - step * theta.apply_adjoint(p_new)
         u_new = _shrink(v, np.abs(v), thr)
         prim = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
@@ -277,8 +277,8 @@ def solve_irls_lp_batch(model, y, cfg):
         w = (np.abs(u) ** 2 + (eps_k ** 2)[None, :]) ** exponent
         w[model.n:] *= cfg.nu
         inv_w = 1.0 / w
-        q, _ = _cg_batch(lambda qm: theta.apply(inv_w * theta.apply_adjoint(qm)),
-                         y_a, q, cfg.cg_tol, cfg.cg_max)
+        q, _ = _cg_batch(lambda v, iw: theta.apply(iw * theta.apply_adjoint(v)),
+                         y_a, q, cfg.cg_tol, cfg.cg_max, inv_w)
         u_new = inv_w * theta.apply_adjoint(q)
         rel = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         shrink = rel < np.sqrt(eps_k) / 100.0

@@ -253,6 +253,41 @@ class TestInputFailures:
         one_line_error(capsys, "ArgumentError")
         assert not out.exists()
 
+    GEN = ["gen", "--family", "mtx1", "--n", "32", "--m", "16"]
+    STAB = ["stability", "--family", "mtx1", "--n", "32", "--m", "16",
+            "--eps", "0,0.1", "--trials", "2"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (GEN + ["--s", "1,2", "--k", "1"], "--s"),
+        (GEN + ["--s", "1", "--k", "1:2"], "--k"),
+        (GEN + ["--s", "1", "--k", "1", "--eps", "0,1"], "--eps"),
+        (STAB + ["--s", "1:2", "--k", "1"], "--s"),
+        (STAB + ["--s", "1", "--k", "1,2"], "--k"),
+        (SOLVE[:3] + ["--eps", "abc", "--instance", "absent.txt"], "--eps"),
+    ])
+    def test_list_where_one_value_is_taken(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        one_line_error(capsys, flag)
+        assert not out.exists()
+
+    PT = ["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--trials", "2"]
+
+    @pytest.mark.parametrize("args, name", [
+        (GEN + ["--s", "-1", "--k", "1"], "SparsityError"),
+        (GEN + ["--s", "1", "--k", "-1"], "SparsityError"),
+        (PT + ["--s", "-1", "--k", "1"], "ArgumentError"),
+        (PT + ["--s", "1", "--k", "0,-1"], "ArgumentError"),
+        (["model", "--family", "mtx1", "--n", "32", "--m", "16", "--seed", "-1"],
+         "ArgumentError"),
+        (PT + ["--s", "1", "--k", "1", "--setting", "weird"], "weird"),
+    ])
+    def test_invalid_value_fails_before_running(self, tmp_path, capsys, args, name):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 1
+        one_line_error(capsys, name)
+        assert not out.exists()
+
     def test_non_finite_tolerance(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["pt", "--family", "mtx1", "--n", "32", "--m", "16",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from demixcs import ArgumentError, SchemaError, ShapeError, derive_seed
+from demixcs.seeding import rng
 from demixcs.experiments import (
     PT_COLUMNS,
     STAB_COLUMNS,
@@ -48,6 +49,13 @@ class TestDeriveSeed:
             for trial in range(10 ** 4):
                 seen.add(derive_seed(12345, (cell, trial)))
         assert len(seen) == 10 ** 6
+
+    @pytest.mark.parametrize("seed, path", [(-1, (0,)), (3, (0, -2))])
+    def test_negative_seed_or_path_entry_rejected(self, seed, path):
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            derive_seed(seed, path)
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            rng(seed, *path)
 
 
 class TestEmitCsv:
@@ -149,6 +157,15 @@ class TestPhaseTransition:
     def test_zero_trials_rejected(self):
         with pytest.raises(ArgumentError, match="trials"):
             tiny_pt_spec(trials=0)
+
+    @pytest.mark.parametrize("grid", [dict(s_values=(1, -1)), dict(k_values=(-1,))])
+    def test_negative_sparsity_rejected(self, grid):
+        with pytest.raises(ArgumentError, match="negative"):
+            tiny_pt_spec(**grid)
+
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(ArgumentError, match="weird"):
+            tiny_pt_spec(setting="weird")
 
     def test_unbuildable_model_raises_before_any_cell(self, monkeypatch):
         from demixcs import experiments

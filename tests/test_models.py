@@ -273,6 +273,10 @@ class TestGenSparse:
         with pytest.raises(SparsityError):
             gen_sparse(4, 5, "gaussian", 0)
 
+    def test_negative_sparsity_raises(self):
+        with pytest.raises(SparsityError):
+            gen_sparse(4, -1, "gaussian", 0)
+
 
 class TestGenInstance:
     def test_all_zero_case(self):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -232,7 +233,36 @@ class TestRipInputs:
             sample_bound_subsampled(s, k, size, 0.5, 0.5)
 
 
+def split_cross_reference(a, h, s, k):
+    """delta2 by an SVD of every cross block H_K* A_S."""
+    cross = h.conj().T @ a
+    return max((np.linalg.svd(cross[np.ix_(cor, sig)], compute_uv=False)[0]
+                for sig in combinations(range(a.shape[1]), s)
+                for cor in combinations(range(h.shape[1]), k)
+                if s and k), default=0.0)
+
+
 class TestRipSplit:
+    @pytest.mark.parametrize("s, k", [(1, 1), (2, 2), (2, 3), (0, 2)])
+    @pytest.mark.parametrize("family", FIVE_FAMILIES)
+    def test_matches_svd_of_every_cross_block(self, family, s, k):
+        a, h = dense_model(family, 16, 8)
+        d1, d2 = rip_split(a, h, s, k)
+        assert d1 == exact_rip(a, s).delta
+        assert d2 == pytest.approx(split_cross_reference(a, h, s, k), rel=1e-12, abs=1e-12)
+
+    def test_matches_svd_on_random_complex_matrices(self, rng):
+        for _ in range(5):
+            a = random_complex(rng, 6, 8)
+            h = random_complex(rng, 6, 6)
+            for s, k in ((1, 2), (2, 2), (3, 1)):
+                _, d2 = rip_split(a, h, s, k)
+                assert d2 == pytest.approx(split_cross_reference(a, h, s, k), rel=1e-12)
+
+    def test_non_square_corruption_basis_rejected(self):
+        with pytest.raises(DimensionError):
+            rip_split(HADAMARD2, np.ones((2, 3)), 1, 1)
+
     def test_disjoint_rows_give_zero_cross_term(self):
         # A supported on rows {2, 3} while corruption supports live anywhere:
         # blocks H_K* A_S vanish only for K inside {0, 1}; restrict H there

@@ -133,6 +133,28 @@ class TestCgSolve:
         with pytest.raises(NumericalError):
             cg(Diagonal(np.array([-1.0, -2.0])), np.ones(2))
 
+    def test_batch_freezes_each_column_as_it_would_alone(self):
+        # per-column diagonal operators carried as data: a zero column, done
+        # on entry, then columns needing 1, 2 and 6 steps
+        diag = np.tile(np.arange(1.0, 7.0)[:, None], (1, 4)) * [1.0, 2.0, 0.5, 3.0]
+        b = np.zeros((6, 4))
+        b[0, 1] = 1.0
+        b[:2, 2] = (1.0, -2.0)
+        b[:, 3] = np.linspace(1.0, 3.0, 6)
+
+        def scale(v, d):
+            return d * v
+
+        x, ok = _cg_batch(scale, b, np.zeros_like(b), 1e-13, 50, diag)
+        assert ok.all()
+        assert not np.any(x[:, 0])
+        for j in range(1, 4):
+            alone, ok_j = _cg_batch(scale, b[:, [j]], np.zeros((6, 1)), 1e-13, 50,
+                                    diag[:, [j]])
+            assert ok_j[0]
+            assert np.linalg.norm(x[:, j] - alone[:, 0]) <= 1e-12 * np.linalg.norm(alone)
+            assert np.allclose(x[:, j], b[:, j] / diag[:, j], rtol=1e-12, atol=0.0)
+
 
 class TestPenalizedL1:
     def test_zero_observation_gives_zero(self, certified_model):
@@ -228,6 +250,20 @@ class TestIrls:
         r = solve_irls_lp(model, np.zeros(32), IrlsConfig())
         assert np.all(r.x_hat == 0) and np.all(r.z_hat == 0)
         assert r.iterations == 1
+
+    def test_zero_observation_inside_a_batch(self):
+        model = build_partial_circulant(64, 32, seed=5)
+        insts = [gen_instance(model, 2, 1, "gaussian", 0.0, seed=sd) for sd in (6, 7)]
+        y = np.stack([insts[0].y, np.zeros(32), insts[1].y], axis=1)
+        results = solve_irls_lp_batch(model, y, IrlsConfig())
+        zero = results[1]
+        assert np.all(zero.x_hat == 0) and np.all(zero.z_hat == 0)
+        assert (zero.iterations, zero.status) == (1, "converged")
+        for j in (0, 2):
+            alone = solve_irls_lp(model, y[:, j], IrlsConfig())
+            got = np.concatenate([results[j].x_hat, results[j].z_hat])
+            want = np.concatenate([alone.x_hat, alone.z_hat])
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_sparse_recovery_without_corruption(self):
         model = build_partial_circulant(64, 32, seed=5)
