@@ -1,10 +1,24 @@
 """Command-line surface: build models, generate instances, solve, sweep.
 
-Subcommands: model, gen, solve, pt, stability, rip, bounds.  Flags are
-uniform `--key value` pairs; a `--config file` of `key = value` lines may
-supply defaults which explicit flags override.  Every run writes a
-`run_manifest.txt` with the fully resolved configuration so outputs are
-attributable and byte-identical when rerun.
+Flags are `--key value` pairs, and each subcommand takes its own set
+(required, then [optional]):
+
+    model      --family --n --m [--seed]
+    gen        --family --n --m --s --k [--eps --setting --noise-model --seed]
+    solve      --instance --lambda [--eps --solver --max-iter --tol --p --nu]
+    pt         --family --n --m --s --k --trials
+               [--lambda --setting --max-iter --tol --seed --threads]
+    stability  --family --n --m --s --k --eps --trials
+               [--solver --p --nu --lambda --max-iter --tol --seed --threads]
+    rip        --family --n --m --s --k [--lambda --budget --support-csv --seed]
+    bounds     --theorem --s --k --delta [--n --ntilde --mu-b --mu-g]
+
+Every subcommand also takes `--config file` and `--out dir`.  The config
+file holds `key = value` lines, and explicit flags override them.  A
+flag or config key the subcommand does not take is a usage error.  An
+omitted flag takes the library's default.  Every run writes a
+`run_manifest.txt` with the flags given, the seed and the version, so
+outputs are attributable and byte-identical when rerun.
 
 Exit codes: 0 success, 1 computational error (also an invalid sweep spec
 or an unreadable instance file), 2 usage error.
@@ -36,48 +50,31 @@ from .solvers import (
     solve_penalized_l1,
 )
 
-SUBCOMMANDS = ("model", "gen", "solve", "pt", "stability", "rip", "bounds")
+# subcommand -> (required flags, optional flags); `_COMMON` flags apply to all
+_FLAGS = {
+    "model": (("family", "n", "m"), ("seed",)),
+    "gen": (("family", "n", "m", "s", "k"), ("eps", "setting", "noise-model", "seed")),
+    "solve": (("instance", "lambda"), ("eps", "solver", "max-iter", "tol", "p", "nu")),
+    "pt": (("family", "n", "m", "s", "k", "trials"),
+           ("lambda", "setting", "max-iter", "tol", "seed", "threads")),
+    "stability": (("family", "n", "m", "s", "k", "eps", "trials"),
+                  ("solver", "p", "nu", "lambda", "max-iter", "tol", "seed", "threads")),
+    "rip": (("family", "n", "m", "s", "k"), ("lambda", "budget", "support-csv", "seed")),
+    "bounds": (("theorem", "s", "k", "delta"), ("n", "ntilde", "mu-b", "mu-g")),
+}
+_COMMON = ("config", "out")
+SUBCOMMANDS = tuple(_FLAGS)
 
-# flag -> (parser, description); every subcommand draws from this table
-_FLAG_PARSERS = {
-    "family": str,
-    "n": int,
-    "m": int,
-    "s": str,        # int, list or range syntax depending on subcommand
-    "k": str,
-    "lambda": float,
-    "eps": str,      # scalar or sweep list
-    "trials": int,
-    "setting": str,
-    "seed": int,
-    "p": float,
-    "nu": float,
-    "out": str,
-    "config": str,
-    "threads": int,
-    "instance": str,
-    "solver": str,
-    "theorem": int,
-    "ntilde": int,
-    "mu-b": float,
-    "mu-g": float,
-    "delta": float,
-    "budget": int,
-    "max-iter": int,
-    "tol": float,
-    "support-csv": str,
-    "noise-model": str,
+# numeric flags; every other value stays text for its subcommand to read
+_PARSERS = {
+    "n": int, "m": int, "trials": int, "seed": int, "threads": int,
+    "theorem": int, "ntilde": int, "budget": int, "max-iter": int,
+    "lambda": float, "p": float, "nu": float, "mu-b": float, "mu-g": float,
+    "delta": float, "tol": float,
 }
 
-_REQUIRED = {
-    "model": ("family", "n", "m"),
-    "gen": ("family", "n", "m", "s", "k"),
-    "solve": ("instance", "lambda"),
-    "pt": ("family", "n", "m", "s", "k", "trials"),
-    "stability": ("family", "n", "m", "s", "k", "eps", "trials"),
-    "rip": ("family", "n", "m", "s", "k"),
-    "bounds": ("theorem", "s", "k", "delta"),
-}
+# the one default the library leaves to its callers
+_LAMBDA = 1.0
 
 
 @dataclass
@@ -153,6 +150,8 @@ def parse_args(argv):
         raise SystemExit(0)
     if sub not in SUBCOMMANDS:
         raise UsageError(f"unknown subcommand '{sub}'")
+    required, optional = _FLAGS[sub]
+    accepted = set(required + optional + _COMMON)
 
     raw = {}
     i = 1
@@ -161,29 +160,28 @@ def parse_args(argv):
         if not tok.startswith("--"):
             raise UsageError(f"expected a --flag, got '{tok}'")
         name = tok[2:]
-        if name not in _FLAG_PARSERS:
-            raise UsageError(f"unknown flag '--{name}'")
+        if name not in accepted:
+            raise UsageError(f"'{sub}' takes no flag '--{name}'")
         if i + 1 >= len(argv):
             raise UsageError(f"flag '--{name}' needs a value")
         raw[name] = argv[i + 1]
         i += 2
 
     if "config" in raw:
-        file_values = _read_config_file(raw.pop("config"))
-        for key, val in file_values.items():
-            if key not in _FLAG_PARSERS:
-                raise UsageError(f"unknown key '{key}' in config file")
+        for key, val in _read_config_file(raw.pop("config")).items():
+            if key == "config" or key not in accepted:
+                raise UsageError(f"config file key '{key}' is not a flag of '{sub}'")
             raw.setdefault(key, val)
 
-    for name in _REQUIRED[sub]:
+    for name in required:
         if name not in raw:
             raise UsageError(f"missing required flag '--{name}' for '{sub}'")
 
     params = {}
     for name, val in raw.items():
         try:
-            params[name] = _FLAG_PARSERS[name](val)
-        except (TypeError, ValueError):
+            params[name] = _PARSERS.get(name, str)(val)
+        except ValueError:
             raise UsageError(f"bad value for '--{name}': '{val}'") from None
 
     seed = params.pop("seed", 0)
@@ -199,26 +197,47 @@ def parse_args(argv):
 
 
 def _usage():
-    return (
-        "usage: demixcs <subcommand> [--flag value ...]\n"
-        f"subcommands: {', '.join(SUBCOMMANDS)}\n"
-        "common flags: --family --n --m --s --k --lambda --eps --trials\n"
-        "              --setting --seed --p --nu --out --config\n"
-        "sweeps: --s 1:100 (range) or --s 1,2,5 (list); --eps 0:0.1:0.01\n"
-        "sweeps run serially; --threads N is accepted for compatibility only"
-    )
+    lines = ["usage: demixcs <subcommand> [--flag value ...]"]
+    for sub, (required, optional) in _FLAGS.items():
+        flags = " ".join(f"--{name}" for name in required)
+        if optional:
+            flags += " [" + " ".join(f"--{name}" for name in optional) + "]"
+        lines.append(f"  {sub:<10} {flags}")
+    lines += [
+        "every subcommand takes " + " and ".join(f"--{name}" for name in _COMMON)
+        + "; any other flag, or config file key, is a usage error",
+        "sweeps: --s 1:100 (range) or --s 1,2,5 (list); --eps 0:0.1:0.01",
+        "sweeps run serially; --threads N is accepted for compatibility only",
+    ]
+    return "\n".join(lines)
 
 
-def _write_manifest(cfg, extra=None):
+def _given(params, /, **flags):
+    """Keyword arguments (keyword=flag) for the flags that were given."""
+    return {key: params[flag] for key, flag in flags.items() if flag in params}
+
+
+def _l1_config(p, **extra):
+    return PenalizedL1Config(lambda_reg=p.get("lambda", _LAMBDA), **extra,
+                             **_given(p, max_iter="max-iter", tol="tol"))
+
+
+def _irls_config(p):
+    return IrlsConfig(**_given(p, p="p", nu="nu"))
+
+
+def _emit(cfg, *files, extra=None):
+    """Write each (name, writer) into the output directory, then the manifest."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in files:
+        path = cfg.output_dir / name
+        write(path)
+        print(f"wrote {path}")
     lines = [f"subcommand = {cfg.subcommand}", f"seed = {cfg.seed}",
              f"version = {__version__}"]
-    for key in sorted(cfg.params):
-        lines.append(f"{key} = {cfg.params[key]}")
-    for key in sorted(extra or {}):
-        lines.append(f"{key} = {(extra or {})[key]}")
-    path = cfg.output_dir / "run_manifest.txt"
-    with open(path, "w", newline="\n") as fh:
+    for entries in (cfg.params, extra or {}):
+        lines.extend(f"{key} = {entries[key]}" for key in sorted(entries))
+    with open(cfg.output_dir / "run_manifest.txt", "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -228,7 +247,7 @@ def _cmd_model(cfg):
     print(model.describe())
     print(f"coherence(A) = {coherence(model.A):.6g}")
     print(f"coherence(H) = {coherence(model.H):.6g}")
-    _write_manifest(cfg)
+    _emit(cfg)
     return 0
 
 
@@ -237,89 +256,60 @@ def _cmd_gen(cfg):
     s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
     noise_amp = _single_int(p.get("eps") or "0", "eps", float)
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    inst = gen_instance(model, s, k,
-                        p.get("setting", "gaussian"), noise_amp, cfg.seed,
-                        noise_model=p.get("noise-model", "symmetric"))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / "instance.txt"
-    io.save_instance(path, inst)
-    print(f"wrote {path}")
-    _write_manifest(cfg)
+    inst = gen_instance(model, s, k, p.get("setting", "gaussian"), noise_amp, cfg.seed,
+                        **_given(p, noise_model="noise-model"))
+    _emit(cfg, ("instance.txt", lambda path: io.save_instance(path, inst)))
     return 0
 
 
 def _cmd_solve(cfg):
     p = cfg.params
-    eps = _single_int(p.get("eps") or "0", "eps", float)
-    inst = io.load_instance(p["instance"])
+    eps = {"epsilon": _single_int(p["eps"], "eps", float)} if "eps" in p else {}
     which = p.get("solver", "penalized_l1")
     if which == "penalized_l1":
-        scfg = PenalizedL1Config(
-            lambda_reg=p["lambda"], epsilon=eps,
-            max_iter=p.get("max-iter", 20000), tol=p.get("tol", 1e-9))
-        result = solve_penalized_l1(inst.model, inst.y, scfg)
+        solve, solver_cfg = solve_penalized_l1, _l1_config(p, **eps)
     elif which == "irls_lp":
-        icfg = IrlsConfig(p=p.get("p", 0.5), nu=p.get("nu", 1.0))
-        result = solve_irls_lp(inst.model, inst.y, icfg)
+        solve, solver_cfg = solve_irls_lp, _irls_config(p)
     else:
         raise UsageError(f"unknown solver '{which}'")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / "result.txt"
-    io.save_result(path, result)
+    inst = io.load_instance(p["instance"])
+    result = solve(inst.model, inst.y, solver_cfg)
     print(f"status={result.status} iterations={result.iterations} "
           f"residual={result.residual:.6g} objective={result.objective:.6g}")
-    print(f"wrote {path}")
-    _write_manifest(cfg)
+    _emit(cfg, ("result.txt", lambda path: io.save_result(path, result)))
     return 0
 
 
 def _cmd_pt(cfg):
     p = cfg.params
-    solver_cfg = PenalizedL1Config(
-        lambda_reg=p.get("lambda", 1.0), epsilon=0.0,
-        max_iter=p.get("max-iter", 20000), tol=p.get("tol", 1e-9))
+    solver_cfg = _l1_config(p)
     spec = PhaseTransitionSpec(
         family=canonical_family(p["family"]), n=p["n"], m=p["m"],
         s_values=parse_int_list(p["s"], "--s"),
         k_values=parse_int_list(p["k"], "--k"),
         trials=p["trials"], setting=p.get("setting", "gaussian"),
-        lambda_reg=p.get("lambda", 1.0), solver_cfg=solver_cfg,
+        lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
         master_seed=cfg.seed)
     table = run_phase_transition(spec)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "phase_transition.csv"
-    svg_path = cfg.output_dir / "phase_transition.svg"
-    emit_csv(table, csv_path)
-    emit_plot(table, "success_vs_s", svg_path)
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
-    _write_manifest(cfg)
+    _emit(cfg, ("phase_transition.csv", lambda path: emit_csv(table, path)),
+          ("phase_transition.svg", lambda path: emit_plot(table, "success_vs_s", path)))
     return 0
 
 
 def _cmd_stability(cfg):
     p = cfg.params
-    solver_cfg = PenalizedL1Config(
-        lambda_reg=p.get("lambda", 1.0), epsilon=0.0,
-        max_iter=p.get("max-iter", 20000), tol=p.get("tol", 1e-9))
-    solvers = tuple(p.get("solver", "penalized_l1,irls_lp").split(","))
+    solver_cfg = _l1_config(p)
+    solvers = {"solvers": tuple(p["solver"].split(","))} if "solver" in p else {}
     spec = StabilitySpec(
         family=canonical_family(p["family"]), n=p["n"], m=p["m"],
         s=_single_int(p["s"], "s"), k=_single_int(p["k"], "k"),
         eps_values=parse_float_list(p["eps"], "--eps"),
-        trials=p["trials"], solvers=solvers,
-        irls_cfg=IrlsConfig(p=p.get("p", 0.5), nu=p.get("nu", 1.0)),
-        lambda_reg=p.get("lambda", 1.0), solver_cfg=solver_cfg,
-        master_seed=cfg.seed)
+        trials=p["trials"], irls_cfg=_irls_config(p),
+        lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
+        master_seed=cfg.seed, **solvers)
     table = run_stability(spec)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "stability.csv"
-    svg_path = cfg.output_dir / "stability.svg"
-    emit_csv(table, csv_path)
-    emit_plot(table, "error_vs_eps", svg_path)
-    print(f"wrote {csv_path}")
-    print(f"wrote {svg_path}")
-    _write_manifest(cfg)
+    _emit(cfg, ("stability.csv", lambda path: emit_csv(table, path)),
+          ("stability.svg", lambda path: emit_plot(table, "error_vs_eps", path)))
     return 0
 
 
@@ -328,7 +318,7 @@ def _cmd_rip(cfg):
     s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
     budget = p.get("budget", rip.ENUM_BUDGET)
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    cert = rip.certify_uniqueness(model, s, k, p.get("lambda", 1.0), budget)
+    cert = rip.certify_uniqueness(model, s, k, p.get("lambda", _LAMBDA), budget)
     print(f"delta_2s2k = {cert.delta_2s2k:.6g}")
     print(f"eta = {cert.eta:.6g}")
     print(f"threshold = {cert.threshold:.6g}")
@@ -346,8 +336,8 @@ def _cmd_rip(cfg):
         with open(sup_path, "w", newline="\n") as fh:
             fh.write("\n".join(rows) + "\n")
         print(f"wrote {sup_path}")
-    _write_manifest(cfg, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
-                                "satisfied": str(cert.satisfied).lower()})
+    _emit(cfg, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
+                      "satisfied": str(cert.satisfied).lower()})
     return 0
 
 
@@ -371,7 +361,7 @@ def _cmd_bounds(cfg):
         print(f"m_upper <= {rec.m_upper:.6g}")
     else:
         raise UsageError("'--theorem' must be 2 or 3")
-    _write_manifest(cfg)
+    _emit(cfg)
     return 0
 
 

@@ -9,6 +9,7 @@ on the calling thread.
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -88,6 +89,9 @@ class StabilitySpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(e) and e >= 0 for e in self.eps_values):
+            raise ArgumentError(f"eps_values must be finite and nonnegative, "
+                                f"got {tuple(self.eps_values)}")
         if tuple(self.eps_values) != tuple(sorted(self.eps_values)):
             raise DemixError("eps_values must be sorted ascending")
         for name in self.solvers:

@@ -1,16 +1,17 @@
-"""Text persistence: vectors, problem instances, solve results.
+"""Text persistence: problem instances and solve results.
 
-Vectors serialize as two-column CSV (re, im), one row per entry, using
-shortest round-trip float representations so a load reproduces the stored
-values bit for bit.  Instances persist as a flat key = value header plus
-labelled CSV blocks; the model is rebuilt from its family, seed and
-builder parameters, which the builders guarantee to be reproducible.
+Vectors serialize as two-column CSV rows (re, im), one row per entry,
+using shortest round-trip float representations so a load reproduces
+the stored values bit for bit.  Instances persist as a flat key = value
+header plus labelled CSV blocks; the model is rebuilt from its family,
+seed and builder parameters, which the builders guarantee to be
+reproducible.
 """
 
 import numpy as np
 
 from .errors import ArgumentError, DemixError, FormatError
-from .models import ProblemInstance, build_family, canonical_family
+from .models import ProblemInstance, build_family, canonical_family, family_params
 
 
 def _fmt(x):
@@ -30,27 +31,13 @@ def parse_vector_lines(lines):
     return out
 
 
-def save_vector(path, v):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("re,im\n")
-        fh.write("\n".join(format_vector_lines(v)) + "\n")
-
-
-def load_vector(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines and lines[0] == "re,im":
-        lines = lines[1:]
-    return parse_vector_lines(lines)
-
-
-_PARAM_TYPES = {
-    "row_selection": str,
-    "modulator": str,
-    "psi": str,
-    "bernoulli_rows": lambda s: s == "true",
-    "m_requested": int,
-}
+def _parse_param(text, default):
+    """A builder parameter's stored value, typed as its default."""
+    if isinstance(default, bool):
+        if text not in ("true", "false"):
+            raise ValueError(f"boolean parameter must be true or false, got '{text}'")
+        return text == "true"
+    return text if default is None else type(default)(text)
 
 
 def save_instance(path, inst):
@@ -117,12 +104,14 @@ def load_instance(path):
         n = int(header["n"])
         m = int(header["m"])
         model_seed = int(header["model_seed"])
-        params = {}
-        for key, val in header.items():
-            if key.startswith("param_"):
-                name = key[len("param_"):]
-                conv = _PARAM_TYPES.get(name, str)
-                params[name] = conv(val)
+        defaults = family_params(family)
+        params = {key[len("param_"):]: val for key, val in header.items()
+                  if key.startswith("param_")}
+        # Bernoulli-sampled models record the realized row count as m but
+        # must be rebuilt from the requested one
+        m_arg = int(params.pop("m_requested", m))
+        params = {name: _parse_param(val, defaults.get(name))
+                  for name, val in params.items()}
         vecs = {name: parse_vector_lines(blocks[name])
                 for name in ("x_true", "z_true", "w", "y")}
         meta = dict(
@@ -136,9 +125,6 @@ def load_instance(path):
     except ValueError as exc:
         raise FormatError(f"instance file '{path}' is malformed: {exc}") from None
 
-    # Bernoulli-sampled models record the realized row count as m but must
-    # be rebuilt from the requested one
-    m_arg = params.pop("m_requested", m)
     try:
         model = build_family(family, n, m_arg, model_seed, **params)
     except ArgumentError as exc:

@@ -7,6 +7,7 @@ functions of their seed, so a model can be rebuilt bit-for-bit from its
 header metadata.
 """
 
+import math
 from dataclasses import dataclass, field
 from inspect import signature
 
@@ -131,6 +132,18 @@ def _require_pow2(n, what):
         raise ShapeError(f"{what} must be a power of two, got {n}")
 
 
+def _require_rows(n, m):
+    """n a power of two and 1 <= m <= n."""
+    _require_pow2(n, "n")
+    if not 1 <= m <= n:
+        raise ShapeError(f"need 1 <= m <= n, got m={m}, n={n}")
+
+
+def _scaled_rows(n, m, omega, *ops):
+    """sqrt(n/m) R_omega ops..., m rows of an n x n chain scaled to unit column norm."""
+    return linop.Scaled(np.sqrt(n / m), chain(Subsample(omega, n), *ops))
+
+
 def build_modulated_hadamard(n, m, seed, row_selection="random", modulator="rademacher"):
     """Tight-frame model: A = U D B, corruption on the identity basis.
 
@@ -139,9 +152,7 @@ def build_modulated_hadamard(n, m, seed, row_selection="random", modulator="rade
     and B the normalized Hadamard.  `modulator="gaussian"` draws the
     diagonal from the standard normal instead.
     """
-    _require_pow2(n, "n")
-    if not 1 <= m <= n:
-        raise ShapeError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _require_rows(n, m)
     omega = _row_subset(rng(seed, 0), n, m, row_selection)
     gen = rng(seed, 1)
     if modulator == "rademacher":
@@ -150,9 +161,7 @@ def build_modulated_hadamard(n, m, seed, row_selection="random", modulator="rade
         xi = gen.standard_normal(n)
     else:
         raise ShapeError(f"unknown modulator '{modulator}'")
-    w = WalshHadamard(n)
-    u = linop.Scaled(np.sqrt(n / m), chain(Subsample(omega, n), w))
-    a = chain(u, Diagonal(xi), WalshHadamard(n))
+    a = chain(_scaled_rows(n, m, omega, WalshHadamard(n)), Diagonal(xi), WalshHadamard(n))
     return SensingModel(
         A=a, H=identity(m), family="modulated-hadamard", m=m, n=n, seed=int(seed),
         params={"row_selection": row_selection, "modulator": modulator})
@@ -184,7 +193,7 @@ def build_subsampled_hadamard(n, m, seed, bernoulli_rows=False):
         omega = _row_subset(rng(seed, 0), n, m, "random")
         m_eff = m
         h = WalshHadamard(m)
-    a = linop.Scaled(np.sqrt(n / m_eff), chain(Subsample(omega, n), WalshHadamard(n)))
+    a = _scaled_rows(n, m_eff, omega, WalshHadamard(n))
     return SensingModel(
         A=a, H=h, family="subsampled-hadamard", m=m_eff, n=n, seed=int(seed),
         params={"bernoulli_rows": bool(bernoulli_rows), "m_requested": int(m)})
@@ -197,14 +206,10 @@ def build_partial_circulant(n, m, seed, row_selection="first"):
     (1/sqrt(m)) R C_eps for the circulant generated by eps = F* xi.  The
     equality of the two routes is checked on a random probe at build time.
     """
-    _require_pow2(n, "n")
-    if not 1 <= m <= n:
-        raise ShapeError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _require_rows(n, m)
     omega = _row_subset(rng(seed, 0), n, m, row_selection)
     xi = _rademacher(rng(seed, 1), n)
-    f = Fourier(n)
-    a = linop.Scaled(np.sqrt(n / m),
-                     chain(Subsample(omega, n), Fourier(n, adjoint=True), Diagonal(xi), f))
+    a = _scaled_rows(n, m, omega, Fourier(n, adjoint=True), Diagonal(xi), Fourier(n))
 
     eps = Fourier(n, adjoint=True).apply(xi.astype(np.complex128))
     convolution_route = linop.Scaled(1.0 / np.sqrt(m),
@@ -227,14 +232,11 @@ def build_cs_ofdm(n, m, seed):
     the modulated transform is unitary); H is the m x m unitary DFT, the
     natural basis for narrow-band interference.
     """
-    _require_pow2(n, "n")
-    if not 1 <= m <= n:
-        raise ShapeError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _require_rows(n, m)
     q = int(np.log2(n))
     g = golay_pair(q).a
     omega = _row_subset(rng(seed, 0), n, m, "random")
-    a = linop.Scaled(np.sqrt(n / m),
-                     chain(Subsample(omega, n), Fourier(n, adjoint=True), Diagonal(g), Fourier(n)))
+    a = _scaled_rows(n, m, omega, Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
     return SensingModel(
         A=a, H=Fourier(m), family="cs-ofdm", m=m, n=n, seed=int(seed), params={})
 
@@ -247,9 +249,7 @@ def build_drpe(n, m, seed, psi="identity"):
     replacing the input-plane random mask, and Psi the sparsifying basis
     (identity or Hadamard).  Corruption lives on the identity basis.
     """
-    _require_pow2(n, "n")
-    if not 1 <= m <= n:
-        raise ShapeError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _require_rows(n, m)
     phases = np.exp(2j * np.pi * rng(seed, 0).random(n))
     g = golay_pair(int(np.log2(n))).a
     if psi == "identity":
@@ -258,10 +258,8 @@ def build_drpe(n, m, seed, psi="identity"):
         basis = WalshHadamard(n)
     else:
         raise ShapeError(f"unknown sparsifying basis '{psi}'")
-    a = linop.Scaled(
-        np.sqrt(n / m),
-        chain(Subsample(np.arange(m), n), Fourier(n, adjoint=True),
-              Diagonal(phases), Fourier(n), Diagonal(g), basis))
+    a = _scaled_rows(n, m, np.arange(m), Fourier(n, adjoint=True), Diagonal(phases),
+                     Fourier(n), Diagonal(g), basis)
     return SensingModel(
         A=a, H=identity(m), family="drpe", m=m, n=n, seed=int(seed),
         params={"psi": psi})
@@ -286,16 +284,22 @@ _BUILDERS = {
 }
 
 
-def build_family(family, n, m, seed, **params):
-    """Dispatch to a builder by (possibly aliased) family name."""
+def family_params(family):
+    """A family's builder parameters beyond (n, m, seed), with their defaults."""
     fam = canonical_family(family)
     if fam == "custom":
         raise ShapeError("custom models cannot be built from a family name")
-    builder = _BUILDERS[fam]
-    foreign = sorted(set(params) - set(signature(builder).parameters))
+    return {name: par.default for name, par in signature(_BUILDERS[fam]).parameters.items()
+            if par.default is not par.empty}
+
+
+def build_family(family, n, m, seed, **params):
+    """Dispatch to a builder by (possibly aliased) family name."""
+    fam = canonical_family(family)
+    foreign = sorted(set(params) - set(family_params(fam)))
     if foreign:
         raise ArgumentError(f"family '{fam}' takes no parameter {', '.join(foreign)}")
-    return builder(n, m, seed, **params)
+    return _BUILDERS[fam](n, m, seed, **params)
 
 
 def gen_sparse(length, s, setting, seed):
@@ -329,6 +333,8 @@ def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric")
     {0, noise_amp} entries.  Sub-seeds for signal, corruption and noise
     are derived from `seed` so the draw is reproducible componentwise.
     """
+    if not (math.isfinite(noise_amp) and noise_amp >= 0):
+        raise ArgumentError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     if s > model.n:
         raise SparsityError(f"signal sparsity {s} exceeds n={model.n}")
     if k > model.m:
@@ -340,8 +346,6 @@ def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric")
     }
     x = gen_sparse(model.n, s, setting, sub["signal"])
     z = gen_sparse(model.m, k, setting, sub["corruption"])
-    if noise_amp < 0:
-        raise SparsityError("noise_amp must be nonnegative")
     if noise_amp == 0:
         w = np.zeros(model.m, dtype=np.complex128)
     else:
@@ -370,6 +374,8 @@ def best_s_term_error(a, s, p=1.0):
     Ties are broken toward keeping the lowest index among equal
     magnitudes.
     """
+    if not p > 0:
+        raise ArgumentError(f"p must be positive, got {p}")
     v = np.asarray(a, dtype=np.complex128)
     if s > v.size:
         raise SparsityError(f"sparsity {s} exceeds length {v.size}")
@@ -377,6 +383,4 @@ def best_s_term_error(a, s, p=1.0):
         return 0.0
     order = np.argsort(-np.abs(v), kind="stable")
     tail = np.abs(v[order[s:]])
-    if p <= 0:
-        raise SparsityError("p must be >= 1")
     return float(np.sum(tail ** p) ** (1.0 / p))

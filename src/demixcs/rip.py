@@ -292,19 +292,18 @@ def _check_bound_args(delta, coherence, **counts):
             raise ArgumentError(f"{name} must be at least 1, got {value}")
 
 
-def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta,
-                                 c_signal=1.0, c_corruption=1.0):
+def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta):
     """Informational measurement bounds for the tight-frame model.
 
     Returns (m_signal, m_corruption).  Logarithms are natural and
     clamped below at 1 so unit sparsities do not zero the bound.  The
-    absolute constants are unknown; defaults of 1 make this a relative
-    calculator, not a prescription.
+    absolute constants are unknown and set to 1, which makes this a
+    relative calculator, not a prescription.
     """
     _check_bound_args(delta, {"mu_b": mu_b}, s=s, k=k, n_tilde=n_tilde)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n_tilde)
-    m_signal = c_signal * delta ** -2 * s * n_tilde * mu_b ** 2 * ls ** 2 * ln ** 2
-    m_corruption = c_corruption * delta ** -2 * k * lk ** 2 * ln ** 2
+    m_signal = delta ** -2 * s * n_tilde * mu_b ** 2 * ls ** 2 * ln ** 2
+    m_corruption = delta ** -2 * k * lk ** 2 * ln ** 2
     return float(m_signal), float(m_corruption)
 
 
@@ -318,25 +317,25 @@ class SubsampledBounds:
     m_upper: float
 
 
-def sample_bound_subsampled(s, k, n, mu_g, delta, c_coherence=1.0, c_log4=1.0,
-                            c_min_rows=1.0, c_corruption=1.0, c_upper=1.0):
+def sample_bound_subsampled(s, k, n, mu_g, delta):
     """Informational bounds for the randomly subsampled orthonormal model.
 
     The signal condition is the max of three terms (coherence-scaled,
     log^4, and a row-count floor); the corruption condition mirrors the
     coherence term with k; the final condition is an UPPER bound on m.
-    With unknown constants the raw numbers are not prescriptive, which
-    the upper bound makes obvious at small delta.
+    The absolute constants are unknown and set to 1, so the raw numbers
+    are not prescriptive, which the upper bound makes obvious at small
+    delta.
     """
     _check_bound_args(delta, {"mu_g": mu_g}, s=s, k=k, n=n)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n)
     terms = (
-        c_coherence * delta ** -2 * s * n * mu_g ** 2 * ls ** 2 * ln ** 2,
-        c_log4 * delta ** 2 * s * ln ** 4,
-        2.0 * c_min_rows * ln,
+        delta ** -2 * s * n * mu_g ** 2 * ls ** 2 * ln ** 2,
+        delta ** 2 * s * ln ** 4,
+        2.0 * ln,
     )
-    m_corruption = c_corruption * delta ** -2 * k * n * mu_g ** 2 * lk ** 2 * ln ** 2
-    m_upper = c_upper * delta ** 2 * n
+    m_corruption = delta ** -2 * k * n * mu_g ** 2 * lk ** 2 * ln ** 2
+    m_upper = delta ** 2 * n
     return SubsampledBounds(
         m_signal=float(max(terms)),
         m_signal_terms=tuple(float(t) for t in terms),

@@ -112,13 +112,14 @@ def _run_batch(state, step, max_iter, done=None):
 
     `state` is a tuple of arrays whose last axis holds the columns, and
     `step(it, state)` returns the next state with a mask of the columns
-    that finished on iteration `it`.  Finished columns are stored and
-    dropped, so later steps run on the rest only; `done` marks columns
-    finished before the first step, stored with count 0.  Returns each
-    column's final state, its iteration count and whether it finished.
+    that finished on iteration `it`.  Finished columns are dropped, so
+    later steps run on the rest only; `done` marks columns finished
+    before the first step, with count 0.  Returns each column's final
+    iterate (the first state array), its iteration count and whether it
+    finished.
     """
     total = state[0].shape[-1]
-    out = tuple(np.zeros_like(a) for a in state)
+    out = np.zeros_like(state[0])
     out_it = np.full(total, max_iter, dtype=np.int64)
     out_ok = np.zeros(total, dtype=bool)
     alive = np.arange(total)
@@ -128,16 +129,14 @@ def _run_batch(state, step, max_iter, done=None):
             state, done = step(it, state)
         if done.any():
             cols = alive[done]
-            for o, a in zip(out, state):
-                o[..., cols] = a[..., done]
+            out[..., cols] = state[0][..., done]
             out_it[cols] = it
             out_ok[cols] = True
             alive = alive[~done]
             if not alive.size:
                 return out, out_it, out_ok
             state = tuple(a[..., ~done] for a in state)
-    for o, a in zip(out, state):
-        o[..., alive] = a
+    out[..., alive] = state[0]
     return out, out_it, out_ok
 
 
@@ -168,8 +167,8 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
         p = r + (rs_new / rs) * p
         return (x, r, p, rs_new, goal, *data), rs_new <= goal
 
-    (x, *_), _, ok = _run_batch((x0, r, r, rs, goal, *data), iterate, max_iter,
-                                done=rs <= goal)
+    x, _, ok = _run_batch((x0, r, r, rs, goal, *data), iterate, max_iter,
+                          done=rs <= goal)
     return x, ok
 
 
@@ -194,8 +193,7 @@ def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
 
     u0 = np.zeros((theta.cols, y.shape[1]), dtype=y.dtype)
     state = (u0, u0.copy(), np.zeros_like(y), y)
-    (u, *_), iters, ok = _run_batch(state, iterate, max_iter)
-    return u, iters, ok
+    return _run_batch(state, iterate, max_iter)
 
 
 def _batchify(model, y):
@@ -271,9 +269,11 @@ def solve_irls_lp_batch(model, y, cfg):
     theta = hstack(model.A, model.H)
     total = y_mat.shape[1]
     exponent = cfg.p / 2.0 - 1.0
+    # smoothing history by original column; `cols` in the state maps to it
+    eps_hist = np.zeros((cfg.outer_max, total))
 
     def iterate(outer, state):
-        u, q, eps_k, eps_hist, y_a = state
+        u, q, eps_k, cols, y_a = state
         w = (np.abs(u) ** 2 + (eps_k ** 2)[None, :]) ** exponent
         w[model.n:] *= cfg.nu
         inv_w = 1.0 / w
@@ -283,13 +283,13 @@ def solve_irls_lp_batch(model, y, cfg):
         rel = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         shrink = rel < np.sqrt(eps_k) / 100.0
         eps_k = np.where(shrink, np.maximum(cfg.eps_floor, cfg.eps_shrink * eps_k), eps_k)
-        eps_hist[outer - 1] = eps_k
-        return (u_new, q, eps_k, eps_hist, y_a), rel <= 1e-10
+        eps_hist[outer - 1, cols] = eps_k
+        return (u_new, q, eps_k, cols, y_a), rel <= 1e-10
 
     y_a = _working_data(theta, y_mat)
     state = (np.zeros((model.n + model.m, total), dtype=y_a.dtype), np.zeros_like(y_a),
-             np.full(total, cfg.eps_init), np.zeros((cfg.outer_max, total)), y_a)
-    (u, _, _, eps_hist, _), iters, ok = _run_batch(state, iterate, cfg.outer_max)
+             np.full(total, cfg.eps_init), np.arange(total), y_a)
+    u, iters, ok = _run_batch(state, iterate, cfg.outer_max)
     return _results(model, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x) ** cfg.p) + cfg.nu * np.sum(np.abs(z) ** cfg.p)), eps_hist)
 

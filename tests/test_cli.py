@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from demixcs import FormatError, UsageError, gen_instance
+from demixcs import cli
 from demixcs.cli import main, parse_args, parse_float_list, parse_int_list
-from demixcs.io import load_instance, load_vector, save_instance, save_vector
+from demixcs.io import load_instance, save_instance
 from demixcs.models import build_cs_ofdm
 
 
@@ -55,13 +56,52 @@ class TestParseArgs:
         assert err.count("\n") == 1 and "--n" in err
 
 
-class TestVectorAndInstanceFiles:
-    def test_vector_round_trip_bitwise(self, tmp_path, rng):
-        v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        path = tmp_path / "v.csv"
-        save_vector(path, v)
-        assert np.array_equal(load_vector(path), v)
+class TestFlagTable:
+    """Each subcommand takes only the flags it reads."""
 
+    @pytest.mark.parametrize("args, flag", [
+        (["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
+          "--trials", "2", "--solver", "irls_lp"], "--solver"),
+        (["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
+          "--trials", "2", "--eps", "0.1"], "--eps"),
+        (["model", "--family", "mtx1", "--n", "32", "--m", "16", "--trials", "3"],
+         "--trials"),
+        (["solve", "--instance", "absent.txt", "--lambda", "1", "--seed", "1"], "--seed"),
+        (["gen", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
+          "--lambda", "2"], "--lambda"),
+    ])
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        one_line_error(capsys, flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["eps", "config"])
+    def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys, key):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("family = mtx1\nn = 32\nm = 16\ns = 1\nk = 1\ntrials = 2\n"
+                            f"{key} = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["pt", "--config", str(cfg_file), "--out", str(out)]) == 2
+        one_line_error(capsys, f"'{key}'")
+        assert not out.exists()
+
+    def test_table_usage_and_parsers_agree(self):
+        accepted = {name for required, optional in cli._FLAGS.values()
+                    for name in required + optional}
+        assert set(cli._PARSERS) <= accepted
+        assert cli.SUBCOMMANDS == tuple(cli._FLAGS)
+        usage = cli._usage()
+        for sub, (required, optional) in cli._FLAGS.items():
+            line = next(ln for ln in usage.splitlines() if ln.split()[:1] == [sub])
+            assert set(line.replace("[", " ").replace("]", " ").split()[1:]) == {
+                f"--{name}" for name in required + optional}
+            flags = required + optional
+            assert len(set(flags)) == len(flags) and not set(flags) & set(cli._COMMON)
+        assert all(f"--{name}" in usage for name in cli._COMMON)
+
+
+class TestVectorAndInstanceFiles:
     def test_instance_round_trip_bitwise(self, tmp_path):
         model = build_cs_ofdm(32, 16, seed=5)
         inst = gen_instance(model, 2, 1, "gaussian", 0.05, seed=9)
@@ -85,6 +125,22 @@ class TestVectorAndInstanceFiles:
         back = load_instance(path)
         assert back.model.m == model.m
         assert np.array_equal(back.y, inst.y)
+
+    def test_boolean_parameter_must_be_true_or_false(self, tmp_path, capsys):
+        from demixcs.models import build_subsampled_hadamard
+
+        model = build_subsampled_hadamard(64, 32, seed=2, bernoulli_rows=True)
+        path = tmp_path / "bern.txt"
+        save_instance(path, gen_instance(model, 1, 1, "gaussian", 0.0, seed=3))
+        text = path.read_text()
+        assert "param_bernoulli_rows = true\n" in text
+        path.write_text(text.replace("param_bernoulli_rows = true", "param_bernoulli_rows = yes"))
+        with pytest.raises(FormatError, match="true or false"):
+            load_instance(path)
+        out = tmp_path / "out"
+        assert main(["solve", "--instance", str(path), "--lambda", "1", "--out", str(out)]) == 1
+        one_line_error(capsys, "FormatError")
+        assert not out.exists()
 
 
 class TestDispatch:
@@ -281,6 +337,13 @@ class TestInputFailures:
         (["model", "--family", "mtx1", "--n", "32", "--m", "16", "--seed", "-1"],
          "ArgumentError"),
         (PT + ["--s", "1", "--k", "1", "--setting", "weird"], "weird"),
+        (GEN + ["--s", "1", "--k", "1", "--eps", "nan"], "noise_amp"),
+        (GEN + ["--s", "1", "--k", "1", "--eps", "inf"], "noise_amp"),
+        (GEN + ["--s", "1", "--k", "1", "--eps", "-0.1"], "noise_amp"),
+        (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "0,nan", "--trials", "2"],
+         "eps_values"),
+        (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "-0.1,0", "--trials", "2"],
+         "eps_values"),
     ])
     def test_invalid_value_fails_before_running(self, tmp_path, capsys, args, name):
         out = tmp_path / "out"

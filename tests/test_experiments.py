@@ -230,6 +230,12 @@ class TestStability:
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                           eps_values=(0.0,), trials=0, master_seed=0)
 
+    @pytest.mark.parametrize("eps", [(0.0, float("nan")), (0.0, float("inf")), (-0.1, 0.0)])
+    def test_eps_values_must_be_finite_and_nonnegative(self, eps):
+        with pytest.raises(ArgumentError, match="eps_values"):
+            StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                          eps_values=eps, trials=2, master_seed=0)
+
     def test_eps_values_must_be_sorted(self):
         with pytest.raises(Exception):
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,

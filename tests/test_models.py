@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from demixcs import (
+    ArgumentError,
     Fourier,
     ShapeError,
     SparsityError,
@@ -241,6 +242,15 @@ class TestFamilies:
             round_trip = model.H.apply_adjoint(model.H.apply(z))
             assert np.linalg.norm(round_trip - z) <= 1e-10 * np.linalg.norm(z)
 
+    def test_builder_parameters_and_defaults(self):
+        from demixcs.models import family_params
+
+        assert family_params("mtx1") == {"row_selection": "random", "modulator": "rademacher"}
+        assert family_params("mtx2") == {"bernoulli_rows": False}
+        assert family_params("cs-ofdm") == {}
+        with pytest.raises(ShapeError):
+            family_params("custom")
+
     def test_aliases(self):
         assert canonical_family("mtx1") == "modulated-hadamard"
         assert canonical_family("mtx2") == "subsampled-hadamard"
@@ -311,6 +321,12 @@ class TestGenInstance:
         vals = set(np.round(inst.w.real, 12))
         assert vals <= {0.0, 0.5}
 
+    @pytest.mark.parametrize("amp", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_amplitude_rejected(self, amp):
+        model = build_modulated_hadamard(32, 16, seed=0)
+        with pytest.raises(ArgumentError, match="noise_amp"):
+            gen_instance(model, 1, 1, "gaussian", amp, seed=2)
+
 
 class TestCoherence:
     def test_identity(self):
@@ -341,3 +357,10 @@ class TestBestSTermError:
         v = np.array([1.0, 1.0, 1.0])
         # keep index 0, drop the rest
         assert best_s_term_error(v, 1, 1) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_nonpositive_p_rejected(self, p):
+        # s == size returns 0 early, and must not skip the check
+        for s in (1, 3):
+            with pytest.raises(ArgumentError, match="p must be positive"):
+                best_s_term_error(np.array([3.0, -1.0, 0.5]), s, p)

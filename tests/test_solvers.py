@@ -244,6 +244,51 @@ class TestPenalizedL1:
                     ir.iterations, ir.status, ir.eps_trace)
 
 
+_FAMILIES = ("mtx1", "mtx2", "partial-circulant", "cs-ofdm", "drpe")
+_COLUMN = st.tuples(st.integers(0, 3), st.integers(0, 2), st.booleans(), st.integers(0, 999))
+_SOLVERS = {
+    "pdhg": (solve_penalized_l1_batch, PenalizedL1Config(lambda_reg=1.0, max_iter=300)),
+    "pdhg_eps": (solve_penalized_l1_batch,
+                 PenalizedL1Config(lambda_reg=1.0, epsilon=0.1, max_iter=300)),
+    "irls": (solve_irls_lp_batch, IrlsConfig(outer_max=12)),
+}
+
+
+class TestBatchFreezing:
+    """A column frozen inside a batch ends exactly as it does solved alone.
+
+    numpy sums a single column in another order than it sums the columns
+    of a wider array, so a width-1 solve can differ from its batch twin
+    in the last bits.  Each column therefore appears twice, in a shuffled
+    batch and alone as a pair with its copy; a pair finishes together,
+    so no batch ever narrows to one column, and results must agree bit
+    for bit.  Columns with s = k = 0 and no noise finish on the first
+    step.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(solver=st.sampled_from(sorted(_SOLVERS)), family=st.sampled_from(_FAMILIES),
+           model_seed=st.integers(0, 99), columns=st.lists(_COLUMN, min_size=1, max_size=3),
+           shuffle=st.randoms(use_true_random=False))
+    def test_column_ends_as_it_would_alone(self, solver, family, model_seed, columns,
+                                           shuffle):
+        solve, cfg = _SOLVERS[solver]
+        model = build_family(family, 16, 8, model_seed)
+        y = np.stack([gen_instance(model, s, k, "gaussian", 0.01 * noisy, seed).y
+                      for s, k, noisy, seed in columns], axis=1)
+        order = list(range(2 * len(columns)))
+        shuffle.shuffle(order)
+        batch = solve(model, np.concatenate([y, y], axis=1)[:, order], cfg)
+        for got, col in zip(batch, order):
+            j = col % len(columns)
+            alone = solve(model, y[:, [j, j]], cfg)[0]
+            assert got.x_hat.tobytes() == alone.x_hat.tobytes()
+            assert got.z_hat.tobytes() == alone.z_hat.tobytes()
+            assert (got.iterations, got.status, got.residual, got.objective,
+                    got.eps_trace) == (alone.iterations, alone.status, alone.residual,
+                                       alone.objective, alone.eps_trace)
+
+
 class TestIrls:
     def test_zero_observation(self):
         model = build_partial_circulant(64, 32, seed=5)
