@@ -5,20 +5,30 @@ Flags are `--key value` pairs, and each subcommand takes its own set
 
     model      --family --n --m [--seed]
     gen        --family --n --m --s --k [--eps --setting --noise-model --seed]
-    solve      --instance --lambda [--eps --solver --max-iter --tol --p --nu]
+    solve      --instance [--solver]
     pt         --family --n --m --s --k --trials
                [--lambda --setting --max-iter --tol --seed --threads]
-    stability  --family --n --m --s --k --eps --trials
-               [--solver --p --nu --lambda --max-iter --tol --seed --threads]
+    stability  --family --n --m --s --k --eps --trials [--solver --seed --threads]
     rip        --family --n --m --s --k [--lambda --budget --support-csv --seed]
-    bounds     --theorem --s --k --delta [--n --ntilde --mu-b --mu-g]
+    bounds     --theorem --s --k --delta
 
+Some flags are read only for one value of another flag:
+
+    solve --solver penalized_l1 (default)  [--lambda --eps --max-iter --tol]
+    solve --solver irls_lp                 [--p --nu]
+    stability --solver penalized_l1        [--lambda --max-iter --tol]
+    stability --solver irls_lp             [--p --nu]
+    bounds --theorem 2                     --ntilde --mu-b
+    bounds --theorem 3                     --n --mu-g
+
+Stability's `--solver` is a comma list and defaults to both solvers.
 Every subcommand also takes `--config file` and `--out dir`.  The config
-file holds `key = value` lines, and explicit flags override them.  A
-flag or config key the subcommand does not take is a usage error.  An
-omitted flag takes the library's default.  Every run writes a
-`run_manifest.txt` with the flags given, the seed and the version, so
-outputs are attributable and byte-identical when rerun.
+file holds `key = value` lines, each key at most once, and explicit
+flags override them.  A flag or config key that the subcommand, or the
+chosen value, does not read is a usage error.  An omitted flag takes
+the library's default.  Every run writes a `run_manifest.txt` with the
+flags given, the seed and the version, so outputs are attributable and
+byte-identical when rerun.
 
 Exit codes: 0 success, 1 computational error (also an invalid sweep spec
 or an unreadable instance file), 2 usage error.
@@ -32,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io, rip
-from .errors import DemixError, UsageError
+from .errors import DemixError, FormatError, UsageError
 from .linop import materialize
 from .models import build_family, canonical_family, coherence, gen_instance
 from .experiments import (
@@ -54,15 +64,27 @@ from .solvers import (
 _FLAGS = {
     "model": (("family", "n", "m"), ("seed",)),
     "gen": (("family", "n", "m", "s", "k"), ("eps", "setting", "noise-model", "seed")),
-    "solve": (("instance", "lambda"), ("eps", "solver", "max-iter", "tol", "p", "nu")),
+    "solve": (("instance",), ("solver",)),
     "pt": (("family", "n", "m", "s", "k", "trials"),
            ("lambda", "setting", "max-iter", "tol", "seed", "threads")),
     "stability": (("family", "n", "m", "s", "k", "eps", "trials"),
-                  ("solver", "p", "nu", "lambda", "max-iter", "tol", "seed", "threads")),
+                  ("solver", "seed", "threads")),
     "rip": (("family", "n", "m", "s", "k"), ("lambda", "budget", "support-csv", "seed")),
-    "bounds": (("theorem", "s", "k", "delta"), ("n", "ntilde", "mu-b", "mu-g")),
+    "bounds": (("theorem", "s", "k", "delta"), ()),
 }
 _COMMON = ("config", "out")
+
+# subcommand -> (choosing flag, {value: (required flags, optional flags)}):
+# the flags read only for some values of the choosing flag.  The first
+# value is the default, except that stability's --solver takes a comma
+# list and defaults to every solver.
+_CHOICES = {
+    "solve": ("solver", {"penalized_l1": ((), ("lambda", "eps", "max-iter", "tol")),
+                         "irls_lp": ((), ("p", "nu"))}),
+    "stability": ("solver", {"penalized_l1": ((), ("lambda", "max-iter", "tol")),
+                             "irls_lp": ((), ("p", "nu"))}),
+    "bounds": ("theorem", {"2": (("ntilde", "mu-b"), ()), "3": (("n", "mu-g"), ())}),
+}
 SUBCOMMANDS = tuple(_FLAGS)
 
 # numeric flags; every other value stays text for its subcommand to read
@@ -123,23 +145,6 @@ def _single_int(text, flag, convert=int):
         raise UsageError(f"'--{flag}' takes one {kind} here, got '{text}'") from None
 
 
-def _read_config_file(path):
-    values = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, val = line.partition("=")
-                if not sep:
-                    raise UsageError(f"malformed config line: '{line}'")
-                values[key.strip()] = val.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    return values
-
-
 def parse_args(argv):
     """Parse argv into a CliConfig; raises UsageError on any defect."""
     if not argv:
@@ -151,7 +156,8 @@ def parse_args(argv):
     if sub not in SUBCOMMANDS:
         raise UsageError(f"unknown subcommand '{sub}'")
     required, optional = _FLAGS[sub]
-    accepted = set(required + optional + _COMMON)
+    _, rows = _CHOICES.get(sub, (None, {}))
+    accepted = set(required + optional + _COMMON) | _row_flags(rows)
 
     raw = {}
     i = 1
@@ -168,7 +174,13 @@ def parse_args(argv):
         i += 2
 
     if "config" in raw:
-        for key, val in _read_config_file(raw.pop("config")).items():
+        try:
+            values, blocks = io.read_record(raw.pop("config"))
+        except FormatError as exc:
+            raise UsageError(f"config file: {exc}") from None
+        if blocks:
+            raise UsageError(f"config file holds a block '[{next(iter(blocks))}]'")
+        for key, val in values.items():
             if key == "config" or key not in accepted:
                 raise UsageError(f"config file key '{key}' is not a flag of '{sub}'")
             raw.setdefault(key, val)
@@ -176,6 +188,8 @@ def parse_args(argv):
     for name in required:
         if name not in raw:
             raise UsageError(f"missing required flag '--{name}' for '{sub}'")
+    if rows:
+        _check_choice(sub, raw)
 
     params = {}
     for name, val in raw.items():
@@ -196,13 +210,47 @@ def parse_args(argv):
     return CliConfig(subcommand=sub, params=params, seed=seed, output_dir=out)
 
 
+def _row_flags(rows):
+    """Every flag named in a {value: (required, optional)} table."""
+    return {name for required, optional in rows.values() for name in required + optional}
+
+
+def _check_choice(sub, raw):
+    """Refuse the flags that the chosen values do not read; require theirs."""
+    choice, rows = _CHOICES[sub]
+    if sub == "stability":
+        values = raw[choice].split(",") if choice in raw else list(rows)
+    else:
+        values = [raw.get(choice, next(iter(rows)))]
+    for value in values:
+        if value not in rows:
+            raise UsageError(f"'--{choice}' must be one of {', '.join(rows)}, got '{value}'")
+    chosen = {value: rows[value] for value in values}
+    label = f"'{sub} --{choice} {','.join(values)}'"
+    refused = _row_flags(rows) - _row_flags(chosen)
+    for name in raw:
+        if name in refused:
+            raise UsageError(f"{label} takes no flag '--{name}'")
+    for required, _ in chosen.values():
+        for name in required:
+            if name not in raw:
+                raise UsageError(f"missing required flag '--{name}' for {label}")
+
+
+def _flag_list(required, optional):
+    flags = " ".join(f"--{name}" for name in required)
+    if optional:
+        flags += " [" + " ".join(f"--{name}" for name in optional) + "]"
+    return flags.strip()
+
+
 def _usage():
     lines = ["usage: demixcs <subcommand> [--flag value ...]"]
     for sub, (required, optional) in _FLAGS.items():
-        flags = " ".join(f"--{name}" for name in required)
-        if optional:
-            flags += " [" + " ".join(f"--{name}" for name in optional) + "]"
-        lines.append(f"  {sub:<10} {flags}")
+        lines.append(f"  {sub:<10} {_flag_list(required, optional)}")
+    for sub, (choice, rows) in _CHOICES.items():
+        for value, row in rows.items():
+            lines.append(f"  {sub} --{choice} {value} also reads {_flag_list(*row)}")
     lines += [
         "every subcommand takes " + " and ".join(f"--{name}" for name in _COMMON)
         + "; any other flag, or config file key, is a usage error",
@@ -233,12 +281,10 @@ def _emit(cfg, *files, extra=None):
         path = cfg.output_dir / name
         write(path)
         print(f"wrote {path}")
-    lines = [f"subcommand = {cfg.subcommand}", f"seed = {cfg.seed}",
-             f"version = {__version__}"]
+    header = [("subcommand", cfg.subcommand), ("seed", cfg.seed), ("version", __version__)]
     for entries in (cfg.params, extra or {}):
-        lines.extend(f"{key} = {entries[key]}" for key in sorted(entries))
-    with open(cfg.output_dir / "run_manifest.txt", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header += sorted(entries.items())
+    io.write_record(cfg.output_dir / "run_manifest.txt", header)
 
 
 def _cmd_model(cfg):
@@ -264,14 +310,11 @@ def _cmd_gen(cfg):
 
 def _cmd_solve(cfg):
     p = cfg.params
-    eps = {"epsilon": _single_int(p["eps"], "eps", float)} if "eps" in p else {}
-    which = p.get("solver", "penalized_l1")
-    if which == "penalized_l1":
-        solve, solver_cfg = solve_penalized_l1, _l1_config(p, **eps)
-    elif which == "irls_lp":
+    if p.get("solver") == "irls_lp":
         solve, solver_cfg = solve_irls_lp, _irls_config(p)
     else:
-        raise UsageError(f"unknown solver '{which}'")
+        eps = {"epsilon": _single_int(p["eps"], "eps", float)} if "eps" in p else {}
+        solve, solver_cfg = solve_penalized_l1, _l1_config(p, **eps)
     inst = io.load_instance(p["instance"])
     result = solve(inst.model, inst.y, solver_cfg)
     print(f"status={result.status} iterations={result.iterations} "
@@ -333,8 +376,7 @@ def _cmd_rip(cfg):
                 " ".join(map(str, sig)), " ".join(map(str, cor)), emin, emax))
         sup_path = Path(p["support-csv"])
         sup_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(sup_path, "w", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        io.write_lines(sup_path, rows)
         print(f"wrote {sup_path}")
     _emit(cfg, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
                       "satisfied": str(cert.satisfied).lower()})
@@ -345,22 +387,16 @@ def _cmd_bounds(cfg):
     p = cfg.params
     s, k, delta = _single_int(p["s"], "s"), _single_int(p["k"], "k"), p["delta"]
     if p["theorem"] == 2:
-        if "ntilde" not in p or "mu-b" not in p:
-            raise UsageError("theorem 2 bounds need '--ntilde' and '--mu-b'")
         m_sig, m_cor = rip.sample_bound_modulated_frame(
             s, k, p["ntilde"], p["mu-b"], delta)
         print(f"m_signal >= {m_sig:.6g}")
         print(f"m_corruption >= {m_cor:.6g}")
-    elif p["theorem"] == 3:
-        if "n" not in p or "mu-g" not in p:
-            raise UsageError("theorem 3 bounds need '--n' and '--mu-g'")
+    else:
         rec = rip.sample_bound_subsampled(s, k, p["n"], p["mu-g"], delta)
         print(f"m_signal >= {rec.m_signal:.6g} "
               f"(terms: {', '.join('%.6g' % t for t in rec.m_signal_terms)})")
         print(f"m_corruption >= {rec.m_corruption:.6g}")
         print(f"m_upper <= {rec.m_upper:.6g}")
-    else:
-        raise UsageError("'--theorem' must be 2 or 3")
     _emit(cfg)
     return 0
 

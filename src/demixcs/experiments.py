@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ArgumentError, DemixError, SchemaError
+from .io import write_lines
 from .models import SETTINGS, build_family, gen_instance
 from .seeding import derive_seed
 from .solvers import (
@@ -97,6 +98,8 @@ class StabilitySpec:
         for name in self.solvers:
             if name not in SOLVER_NAMES:
                 raise DemixError(f"unknown solver '{name}'")
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ArgumentError(f"a solver is named twice in {tuple(self.solvers)}")
         if self.trials < 2:
             raise ArgumentError("trials must be at least 2, since a spread "
                                 f"needs two samples, got {self.trials}")
@@ -243,8 +246,7 @@ def emit_csv(table, path):
     lines.append(",".join(table.columns))
     for row in table.rows:
         lines.append(",".join(_format_value(v) for v in row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def parse_csv(path):
@@ -278,13 +280,13 @@ def parse_csv(path):
 
 
 _SVG_COLORS = ("#1f6fb4", "#d65c1e", "#2e8b57", "#8b3a8b", "#b0a023", "#555555")
+_TICKS = 5  # ticks per axis
 
 
-def _ticks(lo, hi, count=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, count)
-    return [float(t) for t in raw]
+    return [float(t) for t in np.linspace(lo, hi, _TICKS)]
 
 
 def _svg_line_chart(series, x_label, y_label, y_range, path):
@@ -341,8 +343,7 @@ def _svg_line_chart(series, x_label, y_label, y_range, path):
                    f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{ml + pw + 40}" y="{ly + 4}" font-size="12">{label}</text>')
     out.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_lines(path, out)
 
 
 def _column_index(table, names):

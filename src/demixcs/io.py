@@ -1,11 +1,13 @@
-"""Text persistence: problem instances and solve results.
+"""Text persistence: the package's one text writer and record codec.
 
-Vectors serialize as two-column CSV rows (re, im), one row per entry,
-using shortest round-trip float representations so a load reproduces
-the stored values bit for bit.  Instances persist as a flat key = value
-header plus labelled CSV blocks; the model is rebuilt from its family,
-seed and builder parameters, which the builders guarantee to be
-reproducible.
+Every `key = value` file (instance, solve result, run manifest, CLI
+config) is a record: a flat header of `key = value` lines followed by
+labelled `[name]` blocks of rows, read by `read_record` and written by
+`write_record`.  Vectors serialize as two-column CSV rows (re, im), one
+row per entry, using shortest round-trip float representations so a
+load reproduces the stored values bit for bit.  An instance's model is
+rebuilt from its family, seed and builder parameters, which the builders
+guarantee to be reproducible.
 """
 
 import numpy as np
@@ -40,65 +42,86 @@ def _parse_param(text, default):
     return text if default is None else type(default)(text)
 
 
-def save_instance(path, inst):
-    """Persist an instance as header + CSV blocks for x, z, w, y."""
-    if inst.model.family == "custom":
-        raise DemixError("custom models carry no rebuild recipe; cannot persist")
-    lines = ["# demixcs instance v1"]
-    lines.append(f"family = {inst.model.family}")
-    lines.append(f"n = {inst.model.n}")
-    lines.append(f"m = {inst.model.m}")
-    lines.append(f"model_seed = {inst.model.seed}")
-    for key, val in sorted(inst.model.params.items()):
-        sval = ("true" if val else "false") if isinstance(val, bool) else str(val)
-        lines.append(f"param_{key} = {sval}")
-    lines.append(f"s = {inst.s}")
-    lines.append(f"k = {inst.k}")
-    lines.append(f"setting = {inst.setting}")
-    lines.append(f"noise_amp = {_fmt(inst.noise_amp)}")
-    lines.append(f"seed = {inst.seed}")
-    for key in ("signal", "corruption", "noise"):
-        lines.append(f"subseed_{key} = {inst.sub_seeds[key]}")
-    for name, vec in (("x_true", inst.x_true), ("z_true", inst.z_true),
-                      ("w", inst.w), ("y", inst.y)):
-        lines.append(f"[{name}]")
-        lines.extend(format_vector_lines(vec))
+def write_lines(path, lines):
+    """Write text lines, each ending in a newline."""
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_sections(path):
-    """Header key = value pairs and the labelled blocks of an instance file."""
-    header = {}
-    blocks = {}
-    current = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                blocks[current] = []
-            elif current is None:
-                key, _, val = line.partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                blocks[current].append(line)
+def write_record(path, header, blocks=(), title=None):
+    """Write (key, value) header pairs, then each (name, rows) block."""
+    lines = [] if title is None else [title]
+    lines += [f"{key} = {value}" for key, value in header]
+    for name, rows in blocks:
+        lines.append(f"[{name}]")
+        lines.extend(rows)
+    write_lines(path, lines)
+
+
+def read_record(path):
+    """The header dict and the {name: rows} blocks of a record file.
+
+    Blank lines and lines starting with '#' are skipped.  A file that
+    cannot be read, a header line without '=', or a key or block name
+    given twice raises FormatError.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read '{path}': {exc}") from None
+    header, blocks, rows = {}, {}, None
+    for number, raw in enumerate(text.split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            into, key, value = blocks, line[1:-1], []
+            rows = value
+        elif rows is not None:
+            rows.append(line)
+            continue
+        elif "=" in line:
+            key, _, value = line.partition("=")
+            into, key, value = header, key.strip(), value.strip()
+        else:
+            raise FormatError(f"'{path}' line {number}: expected 'key = value', got '{line}'")
+        if key in into:
+            raise FormatError(f"'{path}' line {number}: '{key}' given twice")
+        into[key] = value
     return header, blocks
+
+
+def _vector_blocks(pairs):
+    return [(name, format_vector_lines(vec)) for name, vec in pairs]
+
+
+def save_instance(path, inst):
+    """Persist an instance as header + CSV blocks for x, z, w, y."""
+    model = inst.model
+    if model.family == "custom":
+        raise DemixError("custom models carry no rebuild recipe; cannot persist")
+    header = [("family", model.family), ("n", model.n), ("m", model.m),
+              ("model_seed", model.seed)]
+    header += [(f"param_{key}", ("true" if val else "false") if isinstance(val, bool) else val)
+               for key, val in sorted(model.params.items())]
+    header += [("s", inst.s), ("k", inst.k), ("setting", inst.setting),
+               ("noise_amp", _fmt(inst.noise_amp)), ("seed", inst.seed)]
+    header += [(f"subseed_{key}", inst.sub_seeds[key])
+               for key in ("signal", "corruption", "noise")]
+    write_record(path, header, _vector_blocks(
+        (("x_true", inst.x_true), ("z_true", inst.z_true), ("w", inst.w), ("y", inst.y))),
+        title="# demixcs instance v1")
 
 
 def load_instance(path):
     """Rebuild a persisted instance; the stored y is reproduced bit-exactly.
 
-    A file that cannot be read, lacks an entry, holds one that does not
-    parse, or names a model parameter its family does not take raises
-    FormatError.
+    A file that `read_record` refuses, or one that lacks an entry, holds
+    one that does not parse, or names a model parameter its family does
+    not take, raises FormatError.
     """
-    try:
-        header, blocks = _read_sections(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FormatError(f"cannot read instance file '{path}': {exc}") from None
+    header, blocks = read_record(path)
     try:
         family = canonical_family(header["family"])
         n = int(header["n"])
@@ -146,14 +169,7 @@ def load_instance(path):
 
 def save_result(path, result):
     """Solve-result record: status lines plus CSV blocks for the estimates."""
-    lines = ["# demixcs result v1"]
-    lines.append(f"status = {result.status}")
-    lines.append(f"iterations = {result.iterations}")
-    lines.append(f"residual = {_fmt(result.residual)}")
-    lines.append(f"objective = {_fmt(result.objective)}")
-    lines.append("[x_hat]")
-    lines.extend(format_vector_lines(result.x_hat))
-    lines.append("[z_hat]")
-    lines.extend(format_vector_lines(result.z_hat))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [("status", result.status), ("iterations", result.iterations),
+              ("residual", _fmt(result.residual)), ("objective", _fmt(result.objective))]
+    write_record(path, header, _vector_blocks(
+        (("x_hat", result.x_hat), ("z_hat", result.z_hat))), title="# demixcs result v1")

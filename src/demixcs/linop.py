@@ -29,13 +29,11 @@ def is_power_of_two(n):
     return n > 0 and (n & (n - 1)) == 0
 
 
-def as_complex_vector(x, length=None, name="vector"):
-    """Validate and convert to a finite complex128 array."""
+def as_complex_vector(x, name):
+    """Validate and convert to a finite 1-D complex128 array."""
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    if length is not None and v.shape[0] != length:
-        raise DimensionError(f"{name} has length {v.shape[0]}, expected {length}")
     if not np.all(np.isfinite(v)):
         raise ArgumentError(f"{name} contains non-finite entries")
     return v
@@ -342,11 +340,11 @@ def chain(*ops):
     return out
 
 
-def materialize(op, budget=MATERIALIZE_BUDGET):
+def materialize(op):
     """Dense matrix of `op`, column j = op applied to the j-th basis vector."""
-    if op.rows * op.cols > budget:
-        raise BudgetError(
-            f"materializing {op.rows}x{op.cols} exceeds budget of {budget} entries")
+    if op.rows * op.cols > MATERIALIZE_BUDGET:
+        raise BudgetError(f"materializing {op.rows}x{op.cols} exceeds budget "
+                          f"of {MATERIALIZE_BUDGET} entries")
     if isinstance(op, Dense):
         return op.matrix.copy()
     return op.apply(np.eye(op.cols, dtype=np.complex128))

@@ -363,9 +363,9 @@ def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric")
         sub_seeds=sub)
 
 
-def coherence(op, budget=linop.MATERIALIZE_BUDGET):
+def coherence(op):
     """Largest entry magnitude of the materialized operator."""
-    return float(np.max(np.abs(materialize(op, budget))))
+    return float(np.max(np.abs(materialize(op))))
 
 
 def best_s_term_error(a, s, p=1.0):

@@ -28,6 +28,10 @@ from .errors import ArgumentError, DimensionError, NumericalError
 from .linop import hstack, power_iteration
 
 _TINY = 1e-300
+# IRLS smoothing schedule: eps starts at _EPS_INIT and shrinks by
+# _EPS_SHRINK on stagnation, down to _EPS_FLOOR
+_EPS_INIT, _EPS_SHRINK, _EPS_FLOOR = 1.0, 0.1, 1e-8
+_SUCCESS_TOL = 1e-3  # check_success's bound on the summed relative errors
 
 
 def _require_finite(cfg):
@@ -46,7 +50,6 @@ class PenalizedL1Config:
     epsilon: float = 0.0
     max_iter: int = 20000
     tol: float = 1e-9
-    norm_estimate_tol: float = 1e-6
 
     def __post_init__(self):
         _require_finite(self)
@@ -54,8 +57,8 @@ class PenalizedL1Config:
             raise ArgumentError("lambda_reg must be positive")
         if self.epsilon < 0:
             raise ArgumentError("epsilon must be nonnegative")
-        if self.max_iter < 1 or self.tol <= 0 or self.norm_estimate_tol <= 0:
-            raise ArgumentError("max_iter, tol and norm_estimate_tol must be positive")
+        if self.max_iter < 1 or self.tol <= 0:
+            raise ArgumentError("max_iter and tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,6 @@ class IrlsConfig:
 
     p: float = 0.5
     nu: float = 1.0
-    eps_init: float = 1.0
-    eps_floor: float = 1e-8
-    eps_shrink: float = 0.1
     outer_max: int = 100
     cg_tol: float = 1e-10
     cg_max: int = 2000
@@ -75,14 +75,10 @@ class IrlsConfig:
         _require_finite(self)
         if not 0.0 < self.p < 1.0:
             raise ArgumentError("p must lie in (0, 1)")
-        if self.nu <= 0 or self.eps_init <= 0 or self.eps_floor <= 0:
-            raise ArgumentError("nu, eps_init and eps_floor must be positive")
-        if not 0.0 < self.eps_shrink < 1.0:
-            raise ArgumentError("eps_shrink must lie in (0, 1)")
+        if self.nu <= 0:
+            raise ArgumentError("nu must be positive")
         if self.outer_max < 1 or self.cg_max < 1 or self.cg_tol <= 0:
             raise ArgumentError("outer_max, cg_max and cg_tol must be positive")
-        if self.eps_floor > self.eps_init:
-            raise ArgumentError("eps_floor must not exceed eps_init")
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ def solve_penalized_l1_batch(model, y, cfg):
     """Penalized-l1 recovery for a batch of observations (columns of y)."""
     y_mat = _batchify(model, y)
     theta = hstack(model.A, model.H)
-    norm_est = power_iteration(theta, tol=cfg.norm_estimate_tol, max_iter=500, seed=0)
+    norm_est = power_iteration(theta)
     step = 0.99 / max(norm_est.value, _TINY)
     weights = np.concatenate([np.ones(model.n), cfg.lambda_reg * np.ones(model.m)])
     u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), step * weights,
@@ -263,7 +259,7 @@ def solve_irls_lp_batch(model, y, cfg):
     u = W^-1 T* q with (T W^-1 T*) q = y by conjugate gradient, where
     the weights are (|u_i|^2 + eps^2)^(p/2 - 1) and the corruption block
     carries the extra factor nu.  The smoothing eps shrinks whenever the
-    iterate stagnates relative to sqrt(eps)/100, floored at eps_floor.
+    iterate stagnates relative to sqrt(eps)/100, floored at _EPS_FLOOR.
     """
     y_mat = _batchify(model, y)
     theta = hstack(model.A, model.H)
@@ -282,13 +278,13 @@ def solve_irls_lp_batch(model, y, cfg):
         u_new = inv_w * theta.apply_adjoint(q)
         rel = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         shrink = rel < np.sqrt(eps_k) / 100.0
-        eps_k = np.where(shrink, np.maximum(cfg.eps_floor, cfg.eps_shrink * eps_k), eps_k)
+        eps_k = np.where(shrink, np.maximum(_EPS_FLOOR, _EPS_SHRINK * eps_k), eps_k)
         eps_hist[outer - 1, cols] = eps_k
         return (u_new, q, eps_k, cols, y_a), rel <= 1e-10
 
     y_a = _working_data(theta, y_mat)
     state = (np.zeros((model.n + model.m, total), dtype=y_a.dtype), np.zeros_like(y_a),
-             np.full(total, cfg.eps_init), np.arange(total), y_a)
+             np.full(total, _EPS_INIT), np.arange(total), y_a)
     u, iters, ok = _run_batch(state, iterate, cfg.outer_max)
     return _results(model, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x) ** cfg.p) + cfg.nu * np.sum(np.abs(z) ** cfg.p)), eps_hist)
@@ -299,8 +295,8 @@ def solve_irls_lp(model, y, cfg):
     return solve_irls_lp_batch(model, y, cfg)[0]
 
 
-def check_success(result, instance, tol=1e-3):
-    """Success criterion: summed relative errors below `tol`.
+def check_success(result, instance):
+    """Success criterion: summed relative errors below _SUCCESS_TOL.
 
     Each relative error guards its denominator with max(norm, 1e-12);
     instances with no corruption drop the corruption term.
@@ -310,4 +306,4 @@ def check_success(result, instance, tol=1e-3):
     if instance.k > 0:
         err_z = float(np.linalg.norm(result.z_hat - instance.z_true))
         total += err_z / max(float(np.linalg.norm(instance.z_true)), 1e-12)
-    return bool(total < tol)
+    return bool(total < _SUCCESS_TOL)

@@ -86,9 +86,52 @@ class TestFlagTable:
         one_line_error(capsys, f"'{key}'")
         assert not out.exists()
 
+    SOLVE = ["solve", "--instance", "absent.txt"]
+    STAB = ["stability", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1",
+            "--k", "1", "--eps", "0,0.1", "--trials", "2"]
+    BOUNDS = ["bounds", "--s", "1", "--k", "1", "--delta", "0.5"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (SOLVE + ["--solver", "irls_lp", "--eps", "0.3"], "--eps"),
+        (SOLVE + ["--solver", "irls_lp", "--max-iter", "5"], "--max-iter"),
+        (SOLVE + ["--solver", "irls_lp", "--lambda", "1"], "--lambda"),
+        (SOLVE + ["--solver", "irls_lp", "--tol", "1e-3"], "--tol"),
+        (SOLVE + ["--p", "0.7"], "--p"),
+        (SOLVE + ["--solver", "penalized_l1", "--nu", "2"], "--nu"),
+        (STAB + ["--solver", "irls_lp", "--tol", "1e-3"], "--tol"),
+        (STAB + ["--solver", "irls_lp", "--lambda", "2"], "--lambda"),
+        (STAB + ["--solver", "penalized_l1", "--p", "0.7"], "--p"),
+        (BOUNDS + ["--theorem", "2", "--ntilde", "8", "--mu-b", "0.5", "--n", "8"], "--n"),
+        (BOUNDS + ["--theorem", "2", "--ntilde", "8", "--mu-b", "0.5", "--mu-g", "0.3"],
+         "--mu-g"),
+        (BOUNDS + ["--theorem", "3", "--n", "8", "--mu-g", "0.5", "--ntilde", "8"],
+         "--ntilde"),
+        (BOUNDS + ["--theorem", "3", "--n", "8", "--mu-g", "0.5", "--mu-b", "0.5"], "--mu-b"),
+        (BOUNDS + ["--theorem", "2", "--ntilde", "8"], "--mu-b"),
+        (BOUNDS + ["--theorem", "3", "--mu-g", "0.5"], "--n"),
+        (BOUNDS + ["--theorem", "4"], "--theorem"),
+        (SOLVE + ["--solver", "newton"], "--solver"),
+        (STAB + ["--solver", "penalized_l1,newton"], "--solver"),
+    ])
+    def test_flag_the_chosen_value_does_not_read(self, tmp_path, capsys, args, flag):
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        one_line_error(capsys, flag)
+        assert not out.exists()
+
+    def test_chosen_value_refuses_a_config_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("solver = irls_lp\neps = 0.3\n")
+        out = tmp_path / "out"
+        assert main(self.SOLVE + ["--config", str(cfg_file), "--out", str(out)]) == 2
+        one_line_error(capsys, "--eps")
+        assert not out.exists()
+
     def test_table_usage_and_parsers_agree(self):
         accepted = {name for required, optional in cli._FLAGS.values()
                     for name in required + optional}
+        accepted |= {name for _, rows in cli._CHOICES.values()
+                     for required, optional in rows.values() for name in required + optional}
         assert set(cli._PARSERS) <= accepted
         assert cli.SUBCOMMANDS == tuple(cli._FLAGS)
         usage = cli._usage()
@@ -99,6 +142,45 @@ class TestFlagTable:
             flags = required + optional
             assert len(set(flags)) == len(flags) and not set(flags) & set(cli._COMMON)
         assert all(f"--{name}" in usage for name in cli._COMMON)
+        for sub, (choice, rows) in cli._CHOICES.items():
+            assert choice in sum(cli._FLAGS[sub], ())
+            for value, (required, optional) in rows.items():
+                head = f"  {sub} --{choice} {value} also reads "
+                line = next(ln for ln in usage.splitlines() if ln.startswith(head))
+                assert set(line[len(head):].replace("[", " ").replace("]", " ").split()) == {
+                    f"--{name}" for name in required + optional}
+                flags = required + optional
+                assert len(set(flags)) == len(flags)
+                assert not set(flags) & set(sum(cli._FLAGS[sub], ()) + cli._COMMON)
+
+
+class TestConfigFile:
+    """A config file the record reader refuses is a usage error."""
+
+    PT = ["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
+          "--trials", "2"]
+
+    @pytest.mark.parametrize("text, name", [
+        (None, "cannot read"),
+        ("n = 32\nm 16\n", "line 2"),
+        ("n = 32\n[extra]\nm = 16\n", "[extra]"),
+        ("seed = 1\nseed = 2\n", "'seed' given twice"),
+    ])
+    def test_refused_config_file(self, tmp_path, capsys, text, name):
+        cfg_file = tmp_path / "run.cfg"
+        if text is not None:
+            cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert main(self.PT + ["--config", str(cfg_file), "--out", str(out)]) == 2
+        one_line_error(capsys, name)
+        assert not out.exists()
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# desk run\n\nn = 32\n  m = 16  \n")
+        cfg = parse_args(["pt", "--family", "mtx1", "--s", "1", "--k", "1", "--trials", "2",
+                          "--config", str(cfg_file)])
+        assert (cfg.params["n"], cfg.params["m"]) == (32, 16)
 
 
 class TestVectorAndInstanceFiles:
@@ -175,6 +257,15 @@ class TestDispatch:
         assert "status = converged" in text
         assert "[x_hat]" in text and "[z_hat]" in text
 
+    @pytest.mark.parametrize("flags", [[], ["--solver", "irls_lp", "--p", "0.7", "--nu", "2"]])
+    def test_solve_without_lambda(self, tmp_path, capsys, flags):
+        gen, out = tmp_path / "gen", tmp_path / "solve"
+        assert main(["gen", "--family", "cs-ofdm", "--n", "32", "--m", "32", "--s", "1",
+                     "--k", "1", "--seed", "4", "--out", str(gen)]) == 0
+        assert main(["solve", "--instance", str(gen / "instance.txt"), *flags,
+                     "--out", str(out)]) == 0
+        assert "status = " in (out / "result.txt").read_text()
+
     def test_computational_error_exit_code(self, tmp_path, capsys):
         # enumeration budget exceeded maps to a one-line error and exit 1
         code = main(["rip", "--family", "mtx1", "--n", "512", "--m", "256",
@@ -212,6 +303,23 @@ class TestInputFailures:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(FormatError):
+            load_instance(path)
+        out = tmp_path / "out"
+        assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
+        one_line_error(capsys, "FormatError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, name", [
+        ("s = 1\n", "s 1\n", "expected 'key = value'"),
+        ("k = 1\n", "k = 1\nk = 2\n", "'k' given twice"),
+        ("[w]\n", "[x_true]\n", "'x_true' given twice"),
+    ])
+    def test_header_line_the_reader_refuses(self, tmp_path, capsys, old, new, name):
+        model = build_cs_ofdm(32, 16, seed=5)
+        path = tmp_path / "inst.txt"
+        save_instance(path, gen_instance(model, 1, 1, "gaussian", 0.0, seed=9))
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(FormatError, match=name):
             load_instance(path)
         out = tmp_path / "out"
         assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
@@ -349,6 +457,13 @@ class TestInputFailures:
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 1
         one_line_error(capsys, name)
+        assert not out.exists()
+
+    def test_solver_named_twice(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.STAB + ["--s", "1", "--k", "1", "--solver", "penalized_l1,penalized_l1",
+                                 "--out", str(out)]) == 1
+        one_line_error(capsys, "twice")
         assert not out.exists()
 
     def test_non_finite_tolerance(self, tmp_path, capsys):

@@ -236,6 +236,12 @@ class TestStability:
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                           eps_values=eps, trials=2, master_seed=0)
 
+    def test_solver_named_twice_rejected(self):
+        with pytest.raises(ArgumentError, match="twice"):
+            StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                          eps_values=(0.0,), trials=2,
+                          solvers=("penalized_l1", "irls_lp", "penalized_l1"))
+
     def test_eps_values_must_be_sorted(self):
         with pytest.raises(Exception):
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,

@@ -21,6 +21,7 @@ from demixcs.models import build_family
 from demixcs.rip import certify_uniqueness
 from demixcs.seeding import derive_seed
 from demixcs.solvers import (
+    _EPS_FLOOR,
     IrlsConfig,
     PenalizedL1Config,
     _cg_batch,
@@ -345,7 +346,7 @@ class TestIrls:
         r = solve_irls_lp(model, inst.y, cfg)
         trace = r.eps_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
-        assert all(t >= cfg.eps_floor for t in trace)
+        assert all(t >= _EPS_FLOOR for t in trace)
 
     def test_deterministic_bitwise(self):
         model = build_partial_circulant(64, 32, seed=5)
@@ -356,13 +357,11 @@ class TestIrls:
         assert a.eps_trace == b.eps_trace
 
     def test_config_validation(self):
-        for bad in (dict(p=1.5), dict(eps_shrink=1.0), dict(outer_max=0),
+        for bad in (dict(p=1.5), dict(outer_max=0),
                     dict(outer_max=-3), dict(cg_max=0), dict(cg_tol=0.0),
-                    dict(cg_tol=-1e-10), dict(eps_floor=2.0, eps_init=1.0)):
+                    dict(cg_tol=-1e-10)):
             with pytest.raises(ArgumentError):
                 IrlsConfig(**bad)
-        # a schedule that starts at its floor stays there
-        assert IrlsConfig(eps_floor=1.0, eps_init=1.0).eps_floor == 1.0
 
 
 class TestConfigFiniteness:
