@@ -7,10 +7,13 @@ timestamps, so reruns are byte-identical.  Cells run one after another
 on the calling thread.
 """
 
+import csv
 import hashlib
 import logging
 import math
 from dataclasses import dataclass, field, fields, replace
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -228,10 +231,16 @@ def _format_value(v):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return "%.17g" % float(v)
-    text = str(v)
-    if any(c in text for c in ',"\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return str(v)
+
+
+def _parse_value(cell):
+    try:
+        num = float(cell)
+    except ValueError:
+        return cell
+    integral = num.is_integer() and "." not in cell and "e" not in cell.lower()
+    return int(num) if integral else num
 
 
 def emit_csv(table, path):
@@ -240,42 +249,26 @@ def emit_csv(table, path):
     Floats carry 17 significant digits; identical tables produce
     byte-identical files.
     """
-    lines = []
-    for key in sorted(table.provenance):
-        lines.append(f"# {key}={table.provenance[key]}")
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    write_lines(path, lines)
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows([_format_value(v) for v in row] for row in table.rows)
+    write_lines(path, [f"# {key}={table.provenance[key]}" for key in sorted(table.provenance)]
+                + buf.getvalue().split("\n")[:-1])
 
 
 def parse_csv(path):
-    """Read back a file written by emit_csv."""
+    """Read back a file written by emit_csv, typing each value as int, float or text."""
     provenance = {}
-    columns = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                provenance[key] = val
-                continue
-            parts = line.split(",")
-            if columns is None:
-                columns = tuple(parts)
-                continue
-            row = []
-            for cell in parts:
-                try:
-                    num = float(cell)
-                    row.append(int(num) if num.is_integer() and "." not in cell
-                               and "e" not in cell.lower() else num)
-                except ValueError:
-                    row.append(cell)
-            rows.append(tuple(row))
+    with open(path, newline="") as fh:
+        line = fh.readline()
+        while line.startswith("#"):
+            key, _, val = line[1:].strip().partition("=")
+            provenance[key] = val
+            line = fh.readline()
+        records = [record for record in csv.reader(chain([line], fh)) if record]
+    columns = tuple(records[0]) if records else None
+    rows = [tuple(_parse_value(cell) for cell in record) for record in records[1:]]
     return ResultTable(columns=columns, rows=rows, provenance=provenance)
 
 

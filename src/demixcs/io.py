@@ -6,14 +6,18 @@ labelled `[name]` blocks of rows, read by `read_record` and written by
 `write_record`.  Vectors serialize as two-column CSV rows (re, im), one
 row per entry, using shortest round-trip float representations so a
 load reproduces the stored values bit for bit.  An instance's model is
-rebuilt from its family, seed and builder parameters, which the builders
-guarantee to be reproducible.
+rebuilt from its family, n, m and seed, which each builder turns into one
+model, reproducibly.
 """
 
 import numpy as np
 
-from .errors import ArgumentError, DemixError, FormatError
-from .models import ProblemInstance, build_family, canonical_family, family_params
+from .errors import DemixError, FormatError
+from .models import ProblemInstance, build_family, canonical_family
+
+_SUBSEEDS = ("signal", "corruption", "noise")
+_INSTANCE_KEYS = ("family", "n", "m", "model_seed", "s", "k", "setting", "noise_amp", "seed",
+                  *(f"subseed_{key}" for key in _SUBSEEDS))
 
 
 def _fmt(x):
@@ -31,15 +35,6 @@ def parse_vector_lines(lines):
         re_s, im_s = line.split(",")
         out[i] = complex(float(re_s), float(im_s))
     return out
-
-
-def _parse_param(text, default):
-    """A builder parameter's stored value, typed as its default."""
-    if isinstance(default, bool):
-        if text not in ("true", "false"):
-            raise ValueError(f"boolean parameter must be true or false, got '{text}'")
-        return text == "true"
-    return text if default is None else type(default)(text)
 
 
 def write_lines(path, lines):
@@ -102,13 +97,10 @@ def save_instance(path, inst):
     if model.family == "custom":
         raise DemixError("custom models carry no rebuild recipe; cannot persist")
     header = [("family", model.family), ("n", model.n), ("m", model.m),
-              ("model_seed", model.seed)]
-    header += [(f"param_{key}", ("true" if val else "false") if isinstance(val, bool) else val)
-               for key, val in sorted(model.params.items())]
-    header += [("s", inst.s), ("k", inst.k), ("setting", inst.setting),
-               ("noise_amp", _fmt(inst.noise_amp)), ("seed", inst.seed)]
-    header += [(f"subseed_{key}", inst.sub_seeds[key])
-               for key in ("signal", "corruption", "noise")]
+              ("model_seed", model.seed), ("s", inst.s), ("k", inst.k),
+              ("setting", inst.setting), ("noise_amp", _fmt(inst.noise_amp)),
+              ("seed", inst.seed)]
+    header += [(f"subseed_{key}", inst.sub_seeds[key]) for key in _SUBSEEDS]
     write_record(path, header, _vector_blocks(
         (("x_true", inst.x_true), ("z_true", inst.z_true), ("w", inst.w), ("y", inst.y))),
         title="# demixcs instance v1")
@@ -118,43 +110,31 @@ def load_instance(path):
     """Rebuild a persisted instance; the stored y is reproduced bit-exactly.
 
     A file that `read_record` refuses, or one that lacks an entry, holds
-    one that does not parse, or names a model parameter its family does
-    not take, raises FormatError.
+    one that does not parse, or holds a header entry this reader does not
+    read, raises FormatError.
     """
     header, blocks = read_record(path)
+    for key in header:
+        if key not in _INSTANCE_KEYS:
+            raise FormatError(f"instance file '{path}' holds unknown entry '{key}'")
     try:
         family = canonical_family(header["family"])
         n = int(header["n"])
         m = int(header["m"])
         model_seed = int(header["model_seed"])
-        defaults = family_params(family)
-        params = {key[len("param_"):]: val for key, val in header.items()
-                  if key.startswith("param_")}
-        # Bernoulli-sampled models record the realized row count as m but
-        # must be rebuilt from the requested one
-        m_arg = int(params.pop("m_requested", m))
-        params = {name: _parse_param(val, defaults.get(name))
-                  for name, val in params.items()}
         vecs = {name: parse_vector_lines(blocks[name])
                 for name in ("x_true", "z_true", "w", "y")}
         meta = dict(
             s=int(header["s"]), k=int(header["k"]),
             setting=header["setting"], noise_amp=float(header["noise_amp"]),
             seed=int(header["seed"]),
-            sub_seeds={key: int(header[f"subseed_{key}"])
-                       for key in ("signal", "corruption", "noise")})
+            sub_seeds={key: int(header[f"subseed_{key}"]) for key in _SUBSEEDS})
     except KeyError as exc:
         raise FormatError(f"instance file '{path}' lacks entry {exc}") from None
     except ValueError as exc:
         raise FormatError(f"instance file '{path}' is malformed: {exc}") from None
 
-    try:
-        model = build_family(family, n, m_arg, model_seed, **params)
-    except ArgumentError as exc:
-        raise FormatError(f"instance file '{path}': {exc}") from None
-    if model.m != m:
-        raise DemixError(f"rebuilt model has m={model.m}, file says {m}")
-
+    model = build_family(family, n, m, model_seed)
     inst = ProblemInstance(
         model=model,
         x_true=vecs["x_true"], z_true=vecs["z_true"],

@@ -341,11 +341,17 @@ def chain(*ops):
 
 
 def materialize(op):
-    """Dense matrix of `op`, column j = op applied to the j-th basis vector."""
-    if op.rows * op.cols > MATERIALIZE_BUDGET:
-        raise BudgetError(f"materializing {op.rows}x{op.cols} exceeds budget "
-                          f"of {MATERIALIZE_BUDGET} entries")
-    if isinstance(op, Dense):
+    """Dense matrix of `op`, column j = op applied to the j-th basis vector.
+
+    A structured operator is applied to the cols x cols identity, so the
+    budget bounds that input as well as the rows x cols result.
+    """
+    dense = isinstance(op, Dense)
+    entries = (op.rows if dense else max(op.rows, op.cols)) * op.cols
+    if entries > MATERIALIZE_BUDGET:
+        raise BudgetError(f"materializing {op.rows}x{op.cols} needs {entries} entries, "
+                          f"over the budget of {MATERIALIZE_BUDGET}")
+    if dense:
         return op.matrix.copy()
     return op.apply(np.eye(op.cols, dtype=np.complex128))
 

@@ -8,8 +8,7 @@ header metadata.
 """
 
 import math
-from dataclasses import dataclass, field
-from inspect import signature
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,6 @@ from .linop import (
 )
 from .seeding import derive_seed, rng
 
-FAMILIES = (
-    "modulated-hadamard",   # tight frame x random diagonal x orthonormal
-    "subsampled-hadamard",  # scaled row-subset of an orthonormal basis
-    "partial-circulant",
-    "cs-ofdm",
-    "drpe",
-    "custom",
-)
-
 # Short labels kept as synonyms on the CLI surface.
 FAMILY_ALIASES = {
     "mtx1": "modulated-hadamard",
@@ -48,6 +38,7 @@ FAMILY_ALIASES = {
 }
 
 SETTINGS = ("gaussian", "flat")
+NOISE_MODELS = ("symmetric", "zero-one")
 
 
 def canonical_family(name):
@@ -68,7 +59,6 @@ class SensingModel:
     m: int
     n: int
     seed: int
-    params: dict = field(default_factory=dict)
 
     def describe(self):
         return (f"{self.family} m={self.m} n={self.n} seed={self.seed} "
@@ -119,12 +109,8 @@ def _rademacher(gen, n):
     return (2.0 * gen.integers(0, 2, n) - 1.0).astype(np.float64)
 
 
-def _row_subset(gen, n, m, mode):
-    if mode == "first":
-        return np.arange(m)
-    if mode == "random":
-        return np.sort(gen.permutation(n)[:m])
-    raise ShapeError(f"unknown row selection mode '{mode}'")
+def _row_subset(gen, n, m):
+    return np.sort(gen.permutation(n)[:m])
 
 
 def _require_pow2(n, what):
@@ -144,70 +130,46 @@ def _scaled_rows(n, m, omega, *ops):
     return linop.Scaled(np.sqrt(n / m), chain(Subsample(omega, n), *ops))
 
 
-def build_modulated_hadamard(n, m, seed, row_selection="random", modulator="rademacher"):
+def build_modulated_hadamard(n, m, seed):
     """Tight-frame model: A = U D B, corruption on the identity basis.
 
-    U is m rows of the +-1 Hadamard scaled by 1/sqrt(m) (a unit-norm tight
-    frame with every entry of magnitude 1/sqrt(m)), D a random +-1 diagonal
-    and B the normalized Hadamard.  `modulator="gaussian"` draws the
-    diagonal from the standard normal instead.
+    U is m random rows of the +-1 Hadamard scaled by 1/sqrt(m) (a
+    unit-norm tight frame with every entry of magnitude 1/sqrt(m)), D a
+    random +-1 diagonal and B the normalized Hadamard.
     """
     _require_rows(n, m)
-    omega = _row_subset(rng(seed, 0), n, m, row_selection)
-    gen = rng(seed, 1)
-    if modulator == "rademacher":
-        xi = _rademacher(gen, n)
-    elif modulator == "gaussian":
-        xi = gen.standard_normal(n)
-    else:
-        raise ShapeError(f"unknown modulator '{modulator}'")
+    omega = _row_subset(rng(seed, 0), n, m)
+    xi = _rademacher(rng(seed, 1), n)
     a = chain(_scaled_rows(n, m, omega, WalshHadamard(n)), Diagonal(xi), WalshHadamard(n))
-    return SensingModel(
-        A=a, H=identity(m), family="modulated-hadamard", m=m, n=n, seed=int(seed),
-        params={"row_selection": row_selection, "modulator": modulator})
+    return SensingModel(A=a, H=identity(m), family="modulated-hadamard", m=m, n=n,
+                        seed=int(seed))
 
 
-def build_subsampled_hadamard(n, m, seed, bernoulli_rows=False):
+def build_subsampled_hadamard(n, m, seed):
     """Scaled row-subset of the Hadamard basis, Hadamard-sparse corruption.
 
     A = sqrt(n/m) R G with G the normalized n x n Hadamard and R a random
     row subset of size m; H is the normalized m x m Hadamard, so every
-    entry of H has magnitude exactly 1/sqrt(m).  With `bernoulli_rows`
-    each row is kept independently with probability m/n and the realized
-    row count M replaces m; H then falls back to the unitary DFT because
-    a Hadamard matrix of arbitrary size M need not exist.
-    """
-    _require_pow2(n, "n")
-    if bernoulli_rows:
-        gen = rng(seed, 0)
-        keep = gen.random(n) < m / n
-        omega = np.flatnonzero(keep)
-        if omega.size == 0:
-            omega = np.array([int(gen.integers(0, n))])
-        m_eff = int(omega.size)
-        h = Fourier(m_eff)
-    else:
-        _require_pow2(m, "m")
-        if m > n:
-            raise ShapeError(f"need m <= n, got m={m}, n={n}")
-        omega = _row_subset(rng(seed, 0), n, m, "random")
-        m_eff = m
-        h = WalshHadamard(m)
-    a = _scaled_rows(n, m_eff, omega, WalshHadamard(n))
-    return SensingModel(
-        A=a, H=h, family="subsampled-hadamard", m=m_eff, n=n, seed=int(seed),
-        params={"bernoulli_rows": bool(bernoulli_rows), "m_requested": int(m)})
-
-
-def build_partial_circulant(n, m, seed, row_selection="first"):
-    """Partial random circulant realized through its Fourier factorization.
-
-    A = sqrt(n/m) R F* diag(xi) F with xi a +-1 sequence, which equals
-    (1/sqrt(m)) R C_eps for the circulant generated by eps = F* xi.  The
-    equality of the two routes is checked on a random probe at build time.
+    entry of H has magnitude exactly 1/sqrt(m).
     """
     _require_rows(n, m)
-    omega = _row_subset(rng(seed, 0), n, m, row_selection)
+    _require_pow2(m, "m")
+    omega = _row_subset(rng(seed, 0), n, m)
+    a = _scaled_rows(n, m, omega, WalshHadamard(n))
+    return SensingModel(A=a, H=WalshHadamard(m), family="subsampled-hadamard", m=m, n=n,
+                        seed=int(seed))
+
+
+def build_partial_circulant(n, m, seed):
+    """Partial random circulant realized through its Fourier factorization.
+
+    A = sqrt(n/m) R F* diag(xi) F with xi a +-1 sequence and R the first
+    m rows, which equals (1/sqrt(m)) R C_eps for the circulant generated
+    by eps = F* xi.  The equality of the two routes is checked on a
+    random probe at build time.
+    """
+    _require_rows(n, m)
+    omega = np.arange(m)
     xi = _rademacher(rng(seed, 1), n)
     a = _scaled_rows(n, m, omega, Fourier(n, adjoint=True), Diagonal(xi), Fourier(n))
 
@@ -220,9 +182,8 @@ def build_partial_circulant(n, m, seed, row_selection="first"):
     if np.linalg.norm(lhs - rhs) > 1e-10 * max(np.linalg.norm(lhs), 1.0):
         raise NumericalError("circulant factorization self-test failed")
 
-    return SensingModel(
-        A=a, H=identity(m), family="partial-circulant", m=m, n=n, seed=int(seed),
-        params={"row_selection": row_selection})
+    return SensingModel(A=a, H=identity(m), family="partial-circulant", m=m, n=n,
+                        seed=int(seed))
 
 
 def build_cs_ofdm(n, m, seed):
@@ -235,71 +196,56 @@ def build_cs_ofdm(n, m, seed):
     _require_rows(n, m)
     q = int(np.log2(n))
     g = golay_pair(q).a
-    omega = _row_subset(rng(seed, 0), n, m, "random")
+    omega = _row_subset(rng(seed, 0), n, m)
     a = _scaled_rows(n, m, omega, Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
-    return SensingModel(
-        A=a, H=Fourier(m), family="cs-ofdm", m=m, n=n, seed=int(seed), params={})
+    return SensingModel(A=a, H=Fourier(m), family="cs-ofdm", m=m, n=n, seed=int(seed))
 
 
-def build_drpe(n, m, seed, psi="identity"):
+def build_drpe(n, m, seed):
     """Double random phase encoding with a deterministic Golay input mask.
 
-    A = sqrt(n/m) R F* L F diag(g) Psi where L is a diagonal of uniform
+    A = sqrt(n/m) R F* L F diag(g) where L is a diagonal of uniform
     unimodular phases (the Fourier-plane mask), g a Golay sequence
-    replacing the input-plane random mask, and Psi the sparsifying basis
-    (identity or Hadamard).  Corruption lives on the identity basis.
+    replacing the input-plane random mask, and R the first m rows.  The
+    signal is sparse in the identity basis; corruption lives on the
+    identity basis too.
     """
     _require_rows(n, m)
     phases = np.exp(2j * np.pi * rng(seed, 0).random(n))
     g = golay_pair(int(np.log2(n))).a
-    if psi == "identity":
-        basis = identity(n)
-    elif psi == "hadamard":
-        basis = WalshHadamard(n)
-    else:
-        raise ShapeError(f"unknown sparsifying basis '{psi}'")
     a = _scaled_rows(n, m, np.arange(m), Fourier(n, adjoint=True), Diagonal(phases),
-                     Fourier(n), Diagonal(g), basis)
-    return SensingModel(
-        A=a, H=identity(m), family="drpe", m=m, n=n, seed=int(seed),
-        params={"psi": psi})
+                     Fourier(n), Diagonal(g))
+    return SensingModel(A=a, H=identity(m), family="drpe", m=m, n=n, seed=int(seed))
 
 
 def custom_model(a_matrix, h_matrix=None, seed=0):
-    """Wrap dense matrices as a SensingModel (family 'custom')."""
+    """Wrap dense matrices as a SensingModel (family 'custom').
+
+    A custom model has no builder, so it cannot be rebuilt from a family
+    name or persisted as an instance file.
+    """
     a = Dense(a_matrix)
     h = Dense(h_matrix) if h_matrix is not None else identity(a.rows)
     if h.rows != a.rows or h.rows != h.cols:
         raise ShapeError("H must be square with as many rows as A")
-    return SensingModel(A=a, H=h, family="custom", m=a.rows, n=a.cols,
-                        seed=int(seed), params={})
+    return SensingModel(A=a, H=h, family="custom", m=a.rows, n=a.cols, seed=int(seed))
 
 
 _BUILDERS = {
+    # tight frame x random diagonal x orthonormal
     "modulated-hadamard": build_modulated_hadamard,
+    # scaled row-subset of an orthonormal basis
     "subsampled-hadamard": build_subsampled_hadamard,
     "partial-circulant": build_partial_circulant,
     "cs-ofdm": build_cs_ofdm,
     "drpe": build_drpe,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
-def family_params(family):
-    """A family's builder parameters beyond (n, m, seed), with their defaults."""
-    fam = canonical_family(family)
-    if fam == "custom":
-        raise ShapeError("custom models cannot be built from a family name")
-    return {name: par.default for name, par in signature(_BUILDERS[fam]).parameters.items()
-            if par.default is not par.empty}
-
-
-def build_family(family, n, m, seed, **params):
+def build_family(family, n, m, seed):
     """Dispatch to a builder by (possibly aliased) family name."""
-    fam = canonical_family(family)
-    foreign = sorted(set(params) - set(family_params(fam)))
-    if foreign:
-        raise ArgumentError(f"family '{fam}' takes no parameter {', '.join(foreign)}")
-    return _BUILDERS[fam](n, m, seed, **params)
+    return _BUILDERS[canonical_family(family)](n, m, seed)
 
 
 def gen_sparse(length, s, setting, seed):
@@ -339,6 +285,8 @@ def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric")
         raise SparsityError(f"signal sparsity {s} exceeds n={model.n}")
     if k > model.m:
         raise SparsityError(f"corruption sparsity {k} exceeds m={model.m}")
+    if noise_model not in NOISE_MODELS:
+        raise ShapeError(f"unknown noise model '{noise_model}'")
     sub = {
         "signal": derive_seed(seed, (1,)),
         "corruption": derive_seed(seed, (2,)),
@@ -352,10 +300,8 @@ def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric")
         gen = rng(sub["noise"], 0)
         if noise_model == "symmetric":
             w = (noise_amp * _rademacher(gen, model.m)).astype(np.complex128)
-        elif noise_model == "zero-one":
-            w = (noise_amp * gen.integers(0, 2, model.m)).astype(np.complex128)
         else:
-            raise ShapeError(f"unknown noise model '{noise_model}'")
+            w = (noise_amp * gen.integers(0, 2, model.m)).astype(np.complex128)
     y = model.A.apply(x) + model.H.apply(z) + w
     return ProblemInstance(
         model=model, x_true=x, z_true=z, w=w, y=y, s=int(s), k=int(k),

@@ -15,6 +15,7 @@ the penalized program with zero noise.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -282,14 +283,14 @@ def _log_clamped(v):
 
 
 def _check_bound_args(delta, coherence, **counts):
-    if not (math.isfinite(delta) and delta > 0):
-        raise ArgumentError(f"delta must be finite and positive, got {delta}")
+    if not 0.0 < delta < 1.0:
+        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
     for name, value in coherence.items():
         if not 0.0 < value <= 1.0:
             raise ArgumentError(f"{name} must lie in (0, 1], got {value}")
     for name, value in counts.items():
-        if not value >= 1:
-            raise ArgumentError(f"{name} must be at least 1, got {value}")
+        if not 1 <= value <= sys.float_info.max:
+            raise ArgumentError(f"{name} must lie in [1, {sys.float_info.max:g}], got {value}")
 
 
 def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta):
@@ -302,8 +303,8 @@ def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta):
     """
     _check_bound_args(delta, {"mu_b": mu_b}, s=s, k=k, n_tilde=n_tilde)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n_tilde)
-    m_signal = delta ** -2 * s * n_tilde * mu_b ** 2 * ls ** 2 * ln ** 2
-    m_corruption = delta ** -2 * k * lk ** 2 * ln ** 2
+    m_signal = s / delta / delta * n_tilde * mu_b * mu_b * ls * ls * ln * ln
+    m_corruption = k / delta / delta * lk * lk * ln * ln
     return float(m_signal), float(m_corruption)
 
 
@@ -330,12 +331,12 @@ def sample_bound_subsampled(s, k, n, mu_g, delta):
     _check_bound_args(delta, {"mu_g": mu_g}, s=s, k=k, n=n)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n)
     terms = (
-        delta ** -2 * s * n * mu_g ** 2 * ls ** 2 * ln ** 2,
-        delta ** 2 * s * ln ** 4,
+        s / delta / delta * n * mu_g * mu_g * ls * ls * ln * ln,
+        delta * delta * s * ln * ln * ln * ln,
         2.0 * ln,
     )
-    m_corruption = delta ** -2 * k * n * mu_g ** 2 * lk ** 2 * ln ** 2
-    m_upper = delta ** 2 * n
+    m_corruption = k / delta / delta * n * mu_g * mu_g * lk * lk * ln * ln
+    m_upper = delta * delta * n
     return SubsampledBounds(
         m_signal=float(max(terms)),
         m_signal_terms=tuple(float(t) for t in terms),

@@ -43,12 +43,12 @@ def dense_family_reference(family, n, m, seed):
     had = dense_hadamard(n)
     f = dense_dft(n)
     if family == "modulated-hadamard":
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         xi = _rademacher(make_rng(seed, 1), n)
         a = (had[omega] / np.sqrt(m)) @ np.diag(xi) @ (had / np.sqrt(n))
         h = np.eye(m)
     elif family == "subsampled-hadamard":
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         a = np.sqrt(n / m) * (had / np.sqrt(n))[omega]
         h = dense_hadamard(m) / np.sqrt(m)
     elif family == "partial-circulant":
@@ -58,7 +58,7 @@ def dense_family_reference(family, n, m, seed):
         a = circ[:m] / np.sqrt(m)
         h = np.eye(m)
     elif family == "cs-ofdm":
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         g = golay_pair(int(np.log2(n))).a
         a = np.sqrt(n / m) * (f.conj().T @ np.diag(g) @ f)[omega]
         h = dense_dft(m)

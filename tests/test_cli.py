@@ -5,7 +5,7 @@ from demixcs import FormatError, UsageError, gen_instance
 from demixcs import cli
 from demixcs.cli import main, parse_args, parse_float_list, parse_int_list
 from demixcs.io import load_instance, save_instance
-from demixcs.models import build_cs_ofdm
+from demixcs.models import FAMILIES, build_cs_ofdm, build_family
 
 
 class TestParseArgs:
@@ -197,32 +197,16 @@ class TestVectorAndInstanceFiles:
         assert back.s == inst.s and back.k == inst.k
         assert back.sub_seeds == inst.sub_seeds
 
-    def test_bernoulli_sampled_model_round_trip(self, tmp_path):
-        from demixcs.models import build_subsampled_hadamard
-
-        model = build_subsampled_hadamard(64, 32, seed=2, bernoulli_rows=True)
-        inst = gen_instance(model, 1, 1, "gaussian", 0.0, seed=3)
-        path = tmp_path / "bern.txt"
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_round_trip_bitwise(self, tmp_path, family):
+        inst = gen_instance(build_family(family, 64, 32, seed=2), 3, 2, "gaussian", 0.05,
+                            seed=3)
+        path = tmp_path / "inst.txt"
         save_instance(path, inst)
         back = load_instance(path)
-        assert back.model.m == model.m
-        assert np.array_equal(back.y, inst.y)
-
-    def test_boolean_parameter_must_be_true_or_false(self, tmp_path, capsys):
-        from demixcs.models import build_subsampled_hadamard
-
-        model = build_subsampled_hadamard(64, 32, seed=2, bernoulli_rows=True)
-        path = tmp_path / "bern.txt"
-        save_instance(path, gen_instance(model, 1, 1, "gaussian", 0.0, seed=3))
-        text = path.read_text()
-        assert "param_bernoulli_rows = true\n" in text
-        path.write_text(text.replace("param_bernoulli_rows = true", "param_bernoulli_rows = yes"))
-        with pytest.raises(FormatError, match="true or false"):
-            load_instance(path)
-        out = tmp_path / "out"
-        assert main(["solve", "--instance", str(path), "--lambda", "1", "--out", str(out)]) == 1
-        one_line_error(capsys, "FormatError")
-        assert not out.exists()
+        assert back.model.describe() == inst.model.describe()
+        for name in ("x_true", "z_true", "w", "y"):
+            assert np.array_equal(getattr(back, name), getattr(inst, name))
 
 
 class TestDispatch:
@@ -410,11 +394,33 @@ class TestInputFailures:
         ["--theorem", "2", "--delta", "0.5", "--ntilde", "8", "--mu-b", "1.5"],
         ["--theorem", "3", "--delta", "0.5", "--n", "8", "--mu-g", "-3"],
         ["--theorem", "3", "--delta", "0.5", "--n", "8", "--mu-g", "0"],
+        ["--theorem", "3", "--delta", "1", "--n", "8", "--mu-g", "1"],
+        ["--theorem", "3", "--delta", "1e308", "--n", "8", "--mu-g", "1"],
+        ["--theorem", "3", "--delta", "0.5", "--n", "1" + "0" * 400, "--mu-g", "1"],
     ])
     def test_bad_bound_arguments(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
         assert main(["bounds", "--s", "1", "--k", "1", *flags, "--out", str(out)]) == 1
         one_line_error(capsys, "ArgumentError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem", [["--theorem", "2", "--ntilde", "8", "--mu-b", "1"],
+                                         ["--theorem", "3", "--n", "8", "--mu-g", "1"]])
+    def test_tiny_delta_bound_is_infinite(self, tmp_path, capsys, theorem):
+        out = tmp_path / "out"
+        assert main(["bounds", "--s", "1", "--k", "1", "--delta", "1e-200", *theorem,
+                     "--out", str(out)]) == 0
+        assert "m_signal >= inf" in capsys.readouterr().out
+
+    def test_materialize_counts_the_identity_it_applies(self, tmp_path, capsys, monkeypatch):
+        from demixcs import linop
+
+        # A is 2 x 64: 128 entries fit the budget, the 64 x 64 identity does not
+        monkeypatch.setattr(linop, "MATERIALIZE_BUDGET", 1024)
+        out = tmp_path / "out"
+        assert main(["model", "--family", "mtx1", "--n", "64", "--m", "2",
+                     "--out", str(out)]) == 1
+        one_line_error(capsys, "BudgetError")
         assert not out.exists()
 
     GEN = ["gen", "--family", "mtx1", "--n", "32", "--m", "16"]
@@ -452,6 +458,7 @@ class TestInputFailures:
          "eps_values"),
         (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "-0.1,0", "--trials", "2"],
          "eps_values"),
+        (GEN + ["--s", "1", "--k", "1", "--eps", "0", "--noise-model", "weird"], "weird"),
     ])
     def test_invalid_value_fails_before_running(self, tmp_path, capsys, args, name):
         out = tmp_path / "out"

@@ -82,6 +82,14 @@ class TestEmitCsv:
             assert got[:8] == want[:8]
             assert got[8] == want[8]  # 17 significant digits round-trip floats
 
+    def test_text_with_comma_and_quote_round_trips(self, tmp_path):
+        rows = [("a,b", 1.5), ('say "hi", twice', 2)]
+        table = ResultTable(columns=("label", "value"), rows=rows, provenance={"seed": "3"})
+        path = tmp_path / "t.csv"
+        emit_csv(table, path)
+        back = parse_csv(path)
+        assert (back.columns, back.rows, back.provenance) == (table.columns, rows, table.provenance)
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = tiny_pt_spec()
         t1 = run_phase_transition(spec)

@@ -229,6 +229,14 @@ class TestMaterialize:
         with pytest.raises(BudgetError):
             materialize(WalshHadamard(4096))
 
+    def test_budget_counts_the_identity_a_structured_operator_is_applied_to(self, monkeypatch):
+        from demixcs import linop
+
+        monkeypatch.setattr(linop, "MATERIALIZE_BUDGET", 1024)
+        with pytest.raises(BudgetError, match="4096 entries"):
+            materialize(build_modulated_hadamard(64, 2, seed=0).A)
+        assert materialize(Dense(np.ones((2, 64)))).shape == (2, 64)
+
 
 class TestPowerIteration:
     def test_identity(self):

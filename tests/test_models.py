@@ -23,7 +23,7 @@ from demixcs import (
     materialize,
 )
 from demixcs.linop import Diagonal, Scaled, Subsample, chain
-from demixcs.models import canonical_family
+from demixcs.models import FAMILIES, canonical_family
 from demixcs.rip import exact_rip
 
 from conftest import dense_dft, dense_hadamard, random_complex
@@ -68,7 +68,7 @@ class TestModulatedHadamard:
         # every entry has magnitude exactly 1/sqrt(m)
         from demixcs.models import _row_subset
         from demixcs.seeding import rng as make_rng
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         u = Scaled(np.sqrt(n / m), chain(Subsample(omega, n), WalshHadamard(n)))
         assert coherence(u) == pytest.approx(1 / np.sqrt(m), abs=1e-15)
 
@@ -83,7 +83,7 @@ class TestModulatedHadamard:
         n, m, seed = 32, 16, 5
         from demixcs.models import _rademacher, _row_subset
         from demixcs.seeding import rng as make_rng
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         xi = _rademacher(make_rng(seed, 1), n)
         had = dense_hadamard(n)
         u = had[omega] / np.sqrt(m)
@@ -95,15 +95,6 @@ class TestModulatedHadamard:
     def test_requires_power_of_two(self):
         with pytest.raises(ShapeError):
             build_modulated_hadamard(48, 16, seed=0)
-
-    def test_first_rows_option(self):
-        model = build_modulated_hadamard(32, 8, seed=0, row_selection="first")
-        assert model.m == 8
-        assert model.params["row_selection"] == "first"
-        # deterministic rows: same model for any seed
-        other = build_modulated_hadamard(32, 8, seed=0, row_selection="first")
-        x = np.ones(32)
-        assert np.array_equal(model.A.apply(x), other.A.apply(x))
 
 
 class TestSubsampledHadamard:
@@ -124,18 +115,11 @@ class TestSubsampledHadamard:
         n, m, seed = 32, 16, 7
         from demixcs.models import _row_subset
         from demixcs.seeding import rng as make_rng
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         ref = np.sqrt(n / m) * (dense_hadamard(n) / np.sqrt(n))[omega]
         model = build_subsampled_hadamard(n, m, seed=seed)
         x = random_complex(rng, n)
         assert np.linalg.norm(model.A.apply(x) - ref @ x) <= 1e-10 * np.linalg.norm(x)
-
-    def test_bernoulli_rows_variant(self):
-        model = build_subsampled_hadamard(64, 32, seed=2, bernoulli_rows=True)
-        assert model.m == model.A.shape[0]
-        # H falls back to the unitary DFT at the realized size
-        h = materialize(model.H)
-        assert np.abs(h.conj().T @ h - np.eye(model.m)).max() <= 1e-10
 
     def test_rejects_non_power_of_two_m(self):
         with pytest.raises(ShapeError):
@@ -192,7 +176,7 @@ class TestCsOfdm:
         n, m, seed = 32, 16, 21
         from demixcs.models import _row_subset
         from demixcs.seeding import rng as make_rng
-        omega = _row_subset(make_rng(seed, 0), n, m, "random")
+        omega = _row_subset(make_rng(seed, 0), n, m)
         f = dense_dft(n)
         g = golay_pair(5).a
         ref = np.sqrt(n / m) * (f.conj().T @ np.diag(g) @ f)[omega]
@@ -227,9 +211,8 @@ class TestDrpe:
         phases = np.exp(2j * np.pi * make_rng(seed, 0).random(n))
         f = dense_dft(n)
         g = golay_pair(5).a
-        had = dense_hadamard(n) / np.sqrt(n)
-        ref = np.sqrt(n / m) * (f.conj().T @ np.diag(phases) @ f @ np.diag(g) @ had)[:m]
-        model = build_drpe(n, m, seed=seed, psi="hadamard")
+        ref = np.sqrt(n / m) * (f.conj().T @ np.diag(phases) @ f @ np.diag(g))[:m]
+        model = build_drpe(n, m, seed=seed)
         x = random_complex(rng, n)
         assert np.linalg.norm(model.A.apply(x) - ref @ x) <= 1e-10 * np.linalg.norm(x)
 
@@ -242,20 +225,21 @@ class TestFamilies:
             round_trip = model.H.apply_adjoint(model.H.apply(z))
             assert np.linalg.norm(round_trip - z) <= 1e-10 * np.linalg.norm(z)
 
-    def test_builder_parameters_and_defaults(self):
-        from demixcs.models import family_params
-
-        assert family_params("mtx1") == {"row_selection": "random", "modulator": "rademacher"}
-        assert family_params("mtx2") == {"bernoulli_rows": False}
-        assert family_params("cs-ofdm") == {}
-        with pytest.raises(ShapeError):
-            family_params("custom")
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n, m", [(32, 32), (64, 32), (128, 64)])
+    def test_stacked_frame_identity(self, family, n, m):
+        # [A, H][A, H]* = (n/m + 1) I: every family is a tight frame stacked
+        # with a unitary H, which is what a step size of 1/sqrt(n/m + 1) rests on
+        model = build_family(family, n, m, seed=3)
+        t = np.hstack([materialize(model.A), materialize(model.H)])
+        assert np.abs(t @ t.conj().T - (n / m + 1) * np.eye(m)).max() <= 1e-13
 
     def test_aliases(self):
         assert canonical_family("mtx1") == "modulated-hadamard"
         assert canonical_family("mtx2") == "subsampled-hadamard"
-        with pytest.raises(ShapeError):
-            canonical_family("nope")
+        for name in ("nope", "custom"):
+            with pytest.raises(ShapeError, match="unknown model family"):
+                canonical_family(name)
 
 
 class TestGenSparse:
