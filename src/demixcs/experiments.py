@@ -11,7 +11,7 @@ import csv
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from io import StringIO
 from itertools import chain
 
@@ -118,11 +118,23 @@ class ResultTable:
     provenance: dict
 
 
-def _spec_digest(spec):
+def _changed_fields(obj):
+    """`name=value` for each dataclass field of `obj` that differs from its
+    default, a nested dataclass reduced the same way, so a field that holds
+    its default leaves no trace."""
     parts = []
-    for f in fields(spec):
-        parts.append(f"{f.name}={getattr(spec, f.name)!r}")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if default is not MISSING and value == default:
+            continue
+        text = f"({_changed_fields(value)})" if is_dataclass(value) else repr(value)
+        parts.append(f"{f.name}={text}")
+    return ";".join(parts)
+
+
+def _spec_digest(spec):
+    return hashlib.sha256(_changed_fields(spec).encode()).hexdigest()[:16]
 
 
 def _provenance(spec):

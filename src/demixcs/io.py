@@ -18,6 +18,7 @@ from .models import ProblemInstance, build_family, canonical_family
 _SUBSEEDS = ("signal", "corruption", "noise")
 _INSTANCE_KEYS = ("family", "n", "m", "model_seed", "s", "k", "setting", "noise_amp", "seed",
                   *(f"subseed_{key}" for key in _SUBSEEDS))
+_INSTANCE_BLOCKS = ("x_true", "z_true", "w", "y")
 
 
 def _fmt(x):
@@ -102,28 +103,30 @@ def save_instance(path, inst):
               ("seed", inst.seed)]
     header += [(f"subseed_{key}", inst.sub_seeds[key]) for key in _SUBSEEDS]
     write_record(path, header, _vector_blocks(
-        (("x_true", inst.x_true), ("z_true", inst.z_true), ("w", inst.w), ("y", inst.y))),
-        title="# demixcs instance v1")
+        (name, getattr(inst, name)) for name in _INSTANCE_BLOCKS), title="# demixcs instance v1")
 
 
 def load_instance(path):
     """Rebuild a persisted instance; the stored y is reproduced bit-exactly.
 
     A file that `read_record` refuses, or one that lacks an entry, holds
-    one that does not parse, or holds a header entry this reader does not
-    read, raises FormatError.
+    one that does not parse, or holds a header entry or block this reader
+    does not read, raises FormatError.
     """
     header, blocks = read_record(path)
     for key in header:
         if key not in _INSTANCE_KEYS:
             raise FormatError(f"instance file '{path}' holds unknown entry '{key}'")
+    for name in blocks:
+        if name not in _INSTANCE_BLOCKS:
+            raise FormatError(f"instance file '{path}' holds unknown block '[{name}]'")
     try:
         family = canonical_family(header["family"])
         n = int(header["n"])
         m = int(header["m"])
         model_seed = int(header["model_seed"])
         vecs = {name: parse_vector_lines(blocks[name])
-                for name in ("x_true", "z_true", "w", "y")}
+                for name in _INSTANCE_BLOCKS}
         meta = dict(
             s=int(header["s"]), k=int(header["k"]),
             setting=header["setting"], noise_amp=float(header["noise_amp"]),

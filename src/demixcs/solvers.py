@@ -9,7 +9,10 @@ operator [A, H]:
   counterpart with p < 1 and equality constraints.
 
 Both need only forward/adjoint applications, so the fast structured
-operators keep their advantage.  Both, and the conjugate-gradient solves
+operators keep their advantage.  The primal-dual steps of each column
+follow PDLP's initial primal weight (Applegate et al., NeurIPS 2021), and
+the reweighted loop closes with one weighted solve that puts the returned
+iterate on the constraint [A, H] u = y.  Both, and the conjugate-gradient solves
 inside each reweighted pass, run on column batches through one loop: a
 batch of right-hand sides shares one operator, each solver supplies one
 iteration step, and a column that meets its stopping rule is frozen and
@@ -168,27 +171,29 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
     return x, ok
 
 
-def _pdhg_core(theta, y, thresholds, step, eps, tol, max_iter):
+def _pdhg_core(theta, y, tau, sigma, thresholds, eps, tol, max_iter):
     """Primal-dual iteration on a column batch.
 
-    Returns (u, iterations, converged) where u is (dim, T) with the dtype
-    of `y`.  Converged columns freeze at the iteration where both the
-    relative primal and relative dual change dropped to `tol`.
+    Column j takes primal step tau[j], dual step sigma[j] and the (dim, T)
+    soft thresholds' column j; all three compact with the batch.  Returns
+    (u, iterations, converged) where u is (dim, T) with the dtype of `y`.
+    Converged columns freeze at the iteration where both the relative
+    primal and relative dual change dropped to `tol`.
     """
-    thr = thresholds[:, None]
 
     def iterate(it, state):
-        u, ubar, p, y_a = state
-        r = p + step * (theta.apply(ubar) - y_a)
-        p_new = _shrink(r, _col_norms(r), step * eps) if eps > 0 else r
-        v = u - step * theta.apply_adjoint(p_new)
+        u, ubar, p, y_a, tau, sigma, thr = state
+        r = p + sigma * (theta.apply(ubar) - y_a)
+        p_new = _shrink(r, _col_norms(r), sigma * eps) if eps > 0 else r
+        v = u - tau * theta.apply_adjoint(p_new)
         u_new = _shrink(v, np.abs(v), thr)
         prim = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         dual = _col_norms(p_new - p) / np.maximum(_col_norms(p_new), _TINY)
-        return (u_new, 2.0 * u_new - u, p_new, y_a), np.maximum(prim, dual) <= tol
+        return ((u_new, 2.0 * u_new - u, p_new, y_a, tau, sigma, thr),
+                np.maximum(prim, dual) <= tol)
 
     u0 = np.zeros((theta.cols, y.shape[1]), dtype=y.dtype)
-    state = (u0, u0.copy(), np.zeros_like(y), y)
+    state = (u0, u0.copy(), np.zeros_like(y), y, tau, sigma, thresholds)
     return _run_batch(state, iterate, max_iter)
 
 
@@ -234,8 +239,13 @@ def solve_penalized_l1_batch(model, y, cfg):
     norm_est = power_iteration(theta)
     step = 0.99 / max(norm_est.value, _TINY)
     weights = np.concatenate([np.ones(model.n), cfg.lambda_reg * np.ones(model.m)])
-    u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), step * weights,
-                              step, cfg.epsilon, cfg.tol, cfg.max_iter)
+    # PDLP's initial primal weight ||w|| / ||y_j||, summed over a contiguous
+    # y^T so that a column's steps do not depend on the batch width
+    y_norms = np.sqrt(np.sum(np.abs(np.ascontiguousarray(y_mat.T)) ** 2, axis=1))
+    omega = np.where(y_norms > 0, np.linalg.norm(weights) / np.maximum(y_norms, _TINY), 1.0)
+    tau, sigma = step / omega, step * omega
+    u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), tau, sigma,
+                              weights[:, None] * tau, cfg.epsilon, cfg.tol, cfg.max_iter)
     return _results(model, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x)) + cfg.lambda_reg * np.sum(np.abs(z))))
 
@@ -243,11 +253,15 @@ def solve_penalized_l1_batch(model, y, cfg):
 def solve_penalized_l1(model, y, cfg):
     """Penalized-l1 recovery of (x, z) from a single observation y.
 
-    Fixed algorithm: primal-dual hybrid gradient with equal step sizes
-    0.99/||[A, H]|| and extrapolation parameter 1.  The dual step is the
-    shrinkage realizing the conjugate of the eps-ball indicator (plain
-    translation when eps = 0); the primal step is a componentwise soft
-    threshold with per-coordinate weights (1, ..., 1, lambda, ..., lambda).
+    Fixed algorithm: primal-dual hybrid gradient (Chambolle and Pock,
+    JMIV 2011) with extrapolation parameter 1.  With eta = 0.99/||[A, H]||
+    and the weights w = (1, ..., 1, lambda, ..., lambda), the primal step
+    is tau = eta/omega and the dual step sigma = eta * omega, where
+    omega = ||w||/||y|| is PDLP's initial primal weight (Applegate et al.,
+    NeurIPS 2021), or 1 when y = 0; tau * sigma stays eta^2, and the
+    iterates scale with y.  The dual step is the shrinkage realizing the
+    conjugate of the eps-ball indicator (plain translation when eps = 0);
+    the primal step is a componentwise soft threshold at tau * w.
     """
     return solve_penalized_l1_batch(model, y, cfg)[0]
 
@@ -260,6 +274,9 @@ def solve_irls_lp_batch(model, y, cfg):
     the weights are (|u_i|^2 + eps^2)^(p/2 - 1) and the corruption block
     carries the extra factor nu.  The smoothing eps shrinks whenever the
     iterate stagnates relative to sqrt(eps)/100, floored at _EPS_FLOOR.
+    A final refinement solve (T W^-1 T*) d = y - T u, at the returned
+    iterate's weights and final eps, returns u + W^-1 T* d, so T u meets
+    y to about cg_tol^2 rather than cg_tol.
     """
     y_mat = _batchify(model, y)
     theta = hstack(model.A, model.H)
@@ -268,13 +285,21 @@ def solve_irls_lp_batch(model, y, cfg):
     # smoothing history by original column; `cols` in the state maps to it
     eps_hist = np.zeros((cfg.outer_max, total))
 
-    def iterate(outer, state):
-        u, q, eps_k, cols, y_a = state
+    def inverse_weights(u, eps_k):
         w = (np.abs(u) ** 2 + (eps_k ** 2)[None, :]) ** exponent
         w[model.n:] *= cfg.nu
-        inv_w = 1.0 / w
+        return 1.0 / w
+
+    def solve_weighted(b, q0, inv_w):
+        """q with (T W^-1 T*) q = b by conjugate gradient, from q0."""
         q, _ = _cg_batch(lambda v, iw: theta.apply(iw * theta.apply_adjoint(v)),
-                         y_a, q, cfg.cg_tol, cfg.cg_max, inv_w)
+                         b, q0, cfg.cg_tol, cfg.cg_max, inv_w)
+        return q
+
+    def iterate(outer, state):
+        u, q, eps_k, cols, y_a = state
+        inv_w = inverse_weights(u, eps_k)
+        q = solve_weighted(y_a, q, inv_w)
         u_new = inv_w * theta.apply_adjoint(q)
         rel = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         shrink = rel < np.sqrt(eps_k) / 100.0
@@ -286,6 +311,10 @@ def solve_irls_lp_batch(model, y, cfg):
     state = (np.zeros((model.n + model.m, total), dtype=y_a.dtype), np.zeros_like(y_a),
              np.full(total, _EPS_INIT), np.arange(total), y_a)
     u, iters, ok = _run_batch(state, iterate, cfg.outer_max)
+    # refinement: move u onto {T u = y} along the final weighted metric
+    inv_w = inverse_weights(u, eps_hist[iters - 1, np.arange(total)])
+    d = solve_weighted(y_a - theta.apply(u), np.zeros_like(y_a), inv_w)
+    u = u + inv_w * theta.apply_adjoint(d)
     return _results(model, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x) ** cfg.p) + cfg.nu * np.sum(np.abs(z) ** cfg.p)), eps_hist)
 

@@ -297,6 +297,7 @@ class TestInputFailures:
         ("s = 1\n", "s 1\n", "expected 'key = value'"),
         ("k = 1\n", "k = 1\nk = 2\n", "'k' given twice"),
         ("[w]\n", "[x_true]\n", "'x_true' given twice"),
+        ("[w]\n", "[notes]\nhello\n[w]\n", r"unknown block '\[notes\]'"),
     ])
     def test_header_line_the_reader_refuses(self, tmp_path, capsys, old, new, name):
         model = build_cs_ofdm(32, 16, seed=5)

@@ -1,5 +1,6 @@
 import threading
 import xml.etree.ElementTree as ET
+from dataclasses import fields, make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from demixcs.experiments import (
     PhaseTransitionSpec,
     ResultTable,
     StabilitySpec,
+    _spec_digest,
     emit_csv,
     emit_plot,
     parse_csv,
@@ -233,6 +235,22 @@ class TestStability:
         for row in table.rows:
             assert row[imean] <= 1e-5
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noiseless_irls_within_3x_of_l1_at_gate_6_configs(self, seed):
+        # the zero-noise clause of criterion 6's irls_lp <= 3x penalized_l1,
+        # on a desk model: both errors sit at solver precision there
+        spec = StabilitySpec(
+            family="mtx1", n=128, m=64, s=3, k=3, eps_values=(0.0,), trials=10,
+            irls_cfg=IrlsConfig(p=0.5, nu=1.0, outer_max=30, cg_tol=1e-9, cg_max=500),
+            lambda_reg=1.0,
+            solver_cfg=PenalizedL1Config(lambda_reg=1.0, epsilon=0.0, max_iter=4000,
+                                         tol=1e-9),
+            master_seed=seed)
+        table = run_stability(spec)
+        errors = {row[STAB_COLUMNS.index("solver")]: row[STAB_COLUMNS.index("mean_error")]
+                  for row in table.rows}
+        assert 0.0 < errors["irls_lp"] <= 3.0 * errors["penalized_l1"]
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ArgumentError, match="trials"):
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
@@ -254,6 +272,27 @@ class TestStability:
         with pytest.raises(Exception):
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                           eps_values=(0.1, 0.0), trials=2, master_seed=0)
+
+
+def _grown(value, extra):
+    """`value` as an instance of a subclass that adds the field `extra`, default 0."""
+    cls = make_dataclass(type(value).__name__, [("extra", int, 0)], bases=(type(value),),
+                         frozen=True)
+    return cls(**{f.name: getattr(value, f.name) for f in fields(value)}, extra=extra)
+
+
+def test_spec_digest_ignores_fields_at_their_defaults():
+    stab = StabilitySpec(family="mtx1", n=32, m=16, s=1, k=1, eps_values=(0.0,), trials=2,
+                         irls_cfg=IrlsConfig(outer_max=20), solver_cfg=FAST_CFG)
+    for spec in (tiny_pt_spec(), stab):
+        digest = _spec_digest(spec)
+        for extra, kept in ((0, True), (1, False)):
+            assert (_spec_digest(_grown(spec, extra)) == digest) is kept
+            nested = replace(spec, solver_cfg=_grown(spec.solver_cfg, extra))
+            assert (_spec_digest(nested) == digest) is kept
+    assert _spec_digest(replace(stab, irls_cfg=_grown(stab.irls_cfg, 0))) == _spec_digest(stab)
+    for changed in (replace(stab, master_seed=1), replace(stab, irls_cfg=IrlsConfig())):
+        assert _spec_digest(changed) != _spec_digest(stab)
 
 
 def test_specs_reject_a_solver_cfg_with_another_lambda():

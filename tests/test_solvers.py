@@ -182,6 +182,28 @@ class TestPenalizedL1:
                + np.linalg.norm(r7.z_hat / 7.0 - r1.z_hat))
         assert gap <= 1e-9
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    @pytest.mark.parametrize("scale", [0.125, 8.0])
+    def test_power_of_two_scaling_of_y_scales_the_iterate_exactly(self, eps, scale):
+        # each column's steps follow ||y_j||, so scaling y and eps by a power
+        # of two scales every primal iterate by it and leaves the dual alone
+        for family, n, m in [("mtx1", 64, 32), ("cs-ofdm", 32, 16)]:
+            model = build_family(family, n, m, 5)
+            y = np.stack([gen_instance(model, 2, 2, "gaussian", eps / 10, seed).y
+                          for seed in range(3)], axis=1)
+            cfg = PenalizedL1Config(lambda_reg=0.7, epsilon=eps, max_iter=3000)
+            base = solve_penalized_l1_batch(model, y, cfg)
+            scaled = solve_penalized_l1_batch(model, scale * y,
+                                              PenalizedL1Config(lambda_reg=0.7,
+                                                                epsilon=scale * eps,
+                                                                max_iter=3000))
+            for r, rs in zip(base, scaled):
+                # scaled as float64 pairs: a complex product can flip a zero's sign
+                for got, want in ((rs.x_hat, r.x_hat), (rs.z_hat, r.z_hat)):
+                    assert got.tobytes() == (scale * want.view(np.float64)).tobytes()
+                assert (r.iterations, r.status) == (rs.iterations, rs.status)
+            assert len({r.iterations for r in base}) > 1
+
     def test_feasibility_at_convergence(self):
         # converged runs satisfy the ball constraint up to iteration noise,
         # which scales like 1e2 * tol for this stopping rule
@@ -328,6 +350,16 @@ class TestIrls:
                + np.linalg.norm(r_lp.z_hat - r_l1.z_hat))
         assert gap <= 1e-5
 
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.1])
+    def test_final_iterate_is_feasible(self, noise_amp):
+        # the closing weighted solve puts T u within cg_tol^2 of y, up to rounding
+        model = build_family("mtx1", 128, 64, 4)
+        y = np.stack([gen_instance(model, 3, 3, "gaussian", noise_amp, seed).y
+                      for seed in range(4)], axis=1)
+        cfg = IrlsConfig(outer_max=30, cg_tol=1e-9, cg_max=500)
+        for j, r in enumerate(solve_irls_lp_batch(model, y, cfg)):
+            assert r.residual <= cfg.cg_tol / 100 * np.linalg.norm(y[:, j])
+
     def test_first_iterate_is_min_norm_solution(self, rng):
         a = random_complex(rng, 4, 4)
         h = random_complex(rng, 4, 4)
@@ -394,12 +426,15 @@ class TestRealPath:
         theta = hstack(model.A, model.H)
         y = real_batch(model, width, 17, noise_amp=0.01 if eps else 0.0)
         step = 0.99 / np.sqrt(3.0)
-        thresholds = step * np.ones(theta.cols)
+        # distinct steps per column, with tau * sigma = step^2 in each
+        omega = np.linspace(0.7, 1.9, width)
+        tau, sigma = step / omega, step * omega
+        thresholds = np.ones((theta.cols, 1)) * tau
         # the early caps compare intermediate iterates, the last the finish
         for cap in (1, 7, 60, 3000):
-            u_r, it_r, ok_r = _pdhg_core(theta, y, thresholds, step, eps, 1e-9, cap)
-            u_c, it_c, ok_c = _pdhg_core(theta, y.astype(np.complex128), thresholds,
-                                         step, eps, 1e-9, cap)
+            u_r, it_r, ok_r = _pdhg_core(theta, y, tau, sigma, thresholds, eps, 1e-9, cap)
+            u_c, it_c, ok_c = _pdhg_core(theta, y.astype(np.complex128), tau, sigma,
+                                         thresholds, eps, 1e-9, cap)
             assert u_r.dtype == np.float64 and u_c.dtype == np.complex128
             assert u_r.tobytes() == u_c.real.tobytes()
             assert not np.any(u_c.imag)
