@@ -33,7 +33,6 @@ from .linop import (  # noqa: F401
     Scaled,
     Subsample,
     WalshHadamard,
-    compose,
     hstack,
     identity,
     materialize,

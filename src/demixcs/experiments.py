@@ -4,12 +4,12 @@ A sweep is a pure function of its spec: every sensing matrix and every
 instance draw derives its seed from (master_seed, cell index, trial
 index), aggregation runs in fixed trial order, and output files carry no
 timestamps, so reruns are byte-identical.  Cells run one after another
-on the calling thread.
+on the calling thread.  An error in any cell propagates, so a sweep
+either completes every cell or raises; no cell becomes a NaN row.
 """
 
 import csv
 import hashlib
-import logging
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from io import StringIO
@@ -29,8 +29,6 @@ from .solvers import (
     solve_irls_lp_batch,
     solve_penalized_l1_batch,
 )
-
-log = logging.getLogger(__name__)
 
 PT_COLUMNS = ("family", "n", "m", "s", "k", "setting", "lambda", "trials",
               "success_fraction")
@@ -152,18 +150,13 @@ def _gen_batch(model, s, k, setting, noise_amp, seeds):
 
 
 def _pt_cell(spec, model, s_idx, k_idx):
-    s = int(spec.s_values[s_idx])
-    k = int(spec.k_values[k_idx])
-    try:
-        trial_seeds = [derive_seed(spec.master_seed, (1, s_idx, k_idx, t))
-                       for t in range(spec.trials)]
-        insts, y = _gen_batch(model, s, k, spec.setting, 0.0, trial_seeds)
-        results = solve_penalized_l1_batch(model, y, spec.solver_cfg)
-        hits = [check_success(r, inst) for r, inst in zip(results, insts)]
-        return float(np.mean(np.asarray(hits, dtype=np.float64)))
-    except DemixError as exc:
-        log.warning("cell (s=%d, k=%d) failed: %s", s, k, exc)
-        return float("nan")
+    trial_seeds = [derive_seed(spec.master_seed, (1, s_idx, k_idx, t))
+                   for t in range(spec.trials)]
+    insts, y = _gen_batch(model, int(spec.s_values[s_idx]), int(spec.k_values[k_idx]),
+                          spec.setting, 0.0, trial_seeds)
+    results = solve_penalized_l1_batch(model, y, spec.solver_cfg)
+    hits = [check_success(r, inst) for r, inst in zip(results, insts)]
+    return float(np.mean(np.asarray(hits, dtype=np.float64)))
 
 
 def run_phase_transition(spec):
@@ -175,9 +168,8 @@ def run_phase_transition(spec):
     """
     cells = [(si, ki) for ki in range(len(spec.k_values))
              for si in range(len(spec.s_values))]
-    # every model is built before any cell runs: a model that cannot be
-    # built is a spec error, and the per-cell catch is left to failures
-    # in drawing and solving
+    # every model is built before any cell runs, so a model that cannot be
+    # built fails the sweep before any solve
     models = [build_family(spec.family, spec.n, spec.m,
                            derive_seed(spec.master_seed, (0, si, ki)))
               for si, ki in cells]
@@ -196,20 +188,16 @@ def _stability_cell(spec, model, eps_idx):
     insts, y = _gen_batch(model, spec.s, spec.k, "gaussian", eps_amp, trial_seeds)
     out = {}
     for name in spec.solvers:
-        try:
-            if name == "penalized_l1":
-                base = spec.solver_cfg or PenalizedL1Config(lambda_reg=spec.lambda_reg)
-                results = solve_penalized_l1_batch(model, y, replace(base, epsilon=eps_ball))
-            else:
-                results = solve_irls_lp_batch(model, y, spec.irls_cfg)
-            errs = np.array([
-                np.linalg.norm(r.x_hat - inst.x_true)
-                + np.linalg.norm(r.z_hat - inst.z_true)
-                for r, inst in zip(results, insts)])
-            out[name] = (float(np.mean(errs)), float(np.std(errs, ddof=1)))
-        except DemixError as exc:
-            log.warning("stability cell (eps=%g, %s) failed: %s", eps_amp, name, exc)
-            out[name] = (float("nan"), float("nan"))
+        if name == "penalized_l1":
+            base = spec.solver_cfg or PenalizedL1Config(lambda_reg=spec.lambda_reg)
+            results = solve_penalized_l1_batch(model, y, replace(base, epsilon=eps_ball))
+        else:
+            results = solve_irls_lp_batch(model, y, spec.irls_cfg)
+        errs = np.array([
+            np.linalg.norm(r.x_hat - inst.x_true)
+            + np.linalg.norm(r.z_hat - inst.z_true)
+            for r, inst in zip(results, insts)])
+        out[name] = (float(np.mean(errs)), float(np.std(errs, ddof=1)))
     return eps_amp, eps_ball, out
 
 

@@ -273,7 +273,7 @@ class Composed(LinearOperator):
     def __init__(self, outer, inner):
         if outer.cols != inner.rows:
             raise DimensionError(
-                f"compose: outer has {outer.cols} cols, inner has {inner.rows} rows")
+                f"Composed: outer has {outer.cols} cols, inner has {inner.rows} rows")
         super().__init__(outer.rows, inner.cols)
         self.outer = outer
         self.inner = inner
@@ -325,13 +325,9 @@ def hstack(A, H):  # noqa: N803
     return HStacked(A, H)
 
 
-def compose(outer, inner):
-    """outer then-applied-after inner; adjoint composes in reverse."""
-    return Composed(outer, inner)
-
-
 def chain(*ops):
-    """compose(ops[0], compose(ops[1], ...)) for readability in builders."""
+    """Composed(ops[0], Composed(ops[1], ...)): ops[-1] applies first, and the
+    adjoint composes in reverse."""
     if not ops:
         raise DimensionError("chain needs at least one operator")
     out = ops[-1]

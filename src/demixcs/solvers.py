@@ -20,6 +20,11 @@ dropped from the batch.  When [A, H] is real
 and y has no imaginary part the iterations run in float64; they round
 exactly as the complex128 iterations on the same data would, and the
 results are returned as complex128 either way.
+
+Every per-column sum goes through one reduction, `_col_sum`, so for the
+built model families a column's result does not depend, bit for bit, on
+the batch it is solved in; a custom model's dense matrix product may
+round differently at another batch width.
 """
 
 import math
@@ -102,8 +107,18 @@ def _shrink(v, mag, t):
     return v * (np.maximum(mag - t, 0.0) / np.maximum(mag, _TINY))
 
 
+def _col_sum(a):
+    """Column sums of a real (rows, T) array.  Each is summed over one
+    contiguous row of a^T, so it rounds alike at every width T; numpy sums
+    the columns of a wide array row by row but a single one pairwise."""
+    return np.ascontiguousarray(a.T).sum(axis=1)
+
+
 def _col_norms(a):
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
+    # |a|^2 formed straight in the transposed layout, with no other temporary
+    sq = np.abs(a.T, order="C")
+    sq *= sq
+    return np.sqrt(_col_sum(sq.T))
 
 
 def _run_batch(state, step, max_iter, done=None):
@@ -148,21 +163,19 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
     on entry included.  A nonpositive curvature raises NumericalError.
     """
     r = b - apply_fn(x0, *data)
-    rs = np.sum(np.abs(r) ** 2, axis=0)
+    rs = _col_sum(np.abs(r) ** 2)
     goal = (tol * np.maximum(_col_norms(b), _TINY)) ** 2
 
     def iterate(_, state):
         x, r, p, rs, goal, *data = state
         ap = apply_fn(p, *data)
-        # summed as complex128 so a real batch rounds like its complex twin
-        # (numpy orders single-column float and complex sums differently)
-        pap = np.real(np.sum((np.conj(p) * ap).astype(np.complex128, copy=False), axis=0))
+        pap = _col_sum(np.real(np.conj(p) * ap))
         if np.any(pap <= 0.0):
             raise NumericalError("conjugate gradient lost positive curvature")
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = np.sum(np.abs(r) ** 2, axis=0)
+        rs_new = _col_sum(np.abs(r) ** 2)
         p = r + (rs_new / rs) * p
         return (x, r, p, rs_new, goal, *data), rs_new <= goal
 
@@ -215,17 +228,16 @@ def _working_data(theta, y_mat):
     return y_mat
 
 
-def _results(model, y_mat, u, iters, ok, objective, traces=None):
+def _results(model, theta, y_mat, u, iters, ok, objective, traces=None):
     """One SolveResult per column of the final iterates `u` = (x; z)."""
+    resid = _col_norms(y_mat - theta.apply(u))
     results = []
     for j in range(y_mat.shape[1]):
         x_hat = u[:model.n, j].astype(np.complex128)
         z_hat = u[model.n:, j].astype(np.complex128)
-        resid = float(np.linalg.norm(
-            y_mat[:, j] - model.A.apply(x_hat) - model.H.apply(z_hat)))
         results.append(SolveResult(
             x_hat=x_hat, z_hat=z_hat, iterations=int(iters[j]),
-            residual=resid, objective=objective(x_hat, z_hat),
+            residual=float(resid[j]), objective=objective(x_hat, z_hat),
             status="converged" if ok[j] else "max_iter",
             eps_trace=None if traces is None
             else tuple(float(t) for t in traces[:iters[j], j])))
@@ -239,14 +251,12 @@ def solve_penalized_l1_batch(model, y, cfg):
     norm_est = power_iteration(theta)
     step = 0.99 / max(norm_est.value, _TINY)
     weights = np.concatenate([np.ones(model.n), cfg.lambda_reg * np.ones(model.m)])
-    # PDLP's initial primal weight ||w|| / ||y_j||, summed over a contiguous
-    # y^T so that a column's steps do not depend on the batch width
-    y_norms = np.sqrt(np.sum(np.abs(np.ascontiguousarray(y_mat.T)) ** 2, axis=1))
+    y_norms = _col_norms(y_mat)  # for PDLP's initial primal weight ||w|| / ||y_j||
     omega = np.where(y_norms > 0, np.linalg.norm(weights) / np.maximum(y_norms, _TINY), 1.0)
     tau, sigma = step / omega, step * omega
     u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), tau, sigma,
                               weights[:, None] * tau, cfg.epsilon, cfg.tol, cfg.max_iter)
-    return _results(model, y_mat, u, iters, ok, lambda x, z: float(
+    return _results(model, theta, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x)) + cfg.lambda_reg * np.sum(np.abs(z))))
 
 
@@ -315,7 +325,7 @@ def solve_irls_lp_batch(model, y, cfg):
     inv_w = inverse_weights(u, eps_hist[iters - 1, np.arange(total)])
     d = solve_weighted(y_a - theta.apply(u), np.zeros_like(y_a), inv_w)
     u = u + inv_w * theta.apply_adjoint(d)
-    return _results(model, y_mat, u, iters, ok, lambda x, z: float(
+    return _results(model, theta, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x) ** cfg.p) + cfg.nu * np.sum(np.abs(z) ** cfg.p)), eps_hist)
 
 

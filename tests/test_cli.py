@@ -1,11 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
-from demixcs import FormatError, UsageError, gen_instance
+from demixcs import FormatError, NumericalError, UsageError, gen_instance
 from demixcs import cli
 from demixcs.cli import main, parse_args, parse_float_list, parse_int_list
-from demixcs.io import load_instance, save_instance
+from demixcs.experiments import parse_csv
+from demixcs.io import load_instance, save_instance, save_result
+from demixcs.linop import materialize
 from demixcs.models import FAMILIES, build_cs_ofdm, build_family
+from demixcs.rip import skrip_support_extremes
+from demixcs.solvers import (
+    IrlsConfig,
+    PenalizedL1Config,
+    solve_irls_lp_batch,
+    solve_penalized_l1_batch,
+)
 
 
 class TestParseArgs:
@@ -220,6 +231,20 @@ class TestDispatch:
         assert "satisfied = true" in out
         assert (tmp_path / "run_manifest.txt").exists()
 
+    def test_rip_support_csv_lists_every_support_pair(self, tmp_path, capsys):
+        path = tmp_path / "supports.csv"
+        assert main(["rip", "--family", "mtx1", "--n", "16", "--m", "8", "--s", "1",
+                     "--k", "1", "--seed", "3", "--support-csv", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        model = build_family("mtx1", 16, 8, 3)
+        want = [(" ".join(map(str, sig)), " ".join(map(str, cor)), lo, hi)
+                for sig, cor, lo, hi in skrip_support_extremes(
+                    materialize(model.A), materialize(model.H), 2, 2)]
+        assert len(want) == math.comb(16, 2) * math.comb(8, 2)
+        table = parse_csv(path)
+        assert table.columns == ("signal_support", "corruption_support", "eig_min", "eig_max")
+        assert table.rows == want
+
     def test_bounds_passthrough(self, tmp_path, capsys):
         code = main(["bounds", "--theorem", "2", "--s", "10", "--k", "10",
                      "--ntilde", "512", "--mu-b", "0.0442", "--delta", "0.5",
@@ -240,6 +265,24 @@ class TestDispatch:
         text = (out_b / "result.txt").read_text()
         assert "status = converged" in text
         assert "[x_hat]" in text and "[z_hat]" in text
+
+    @pytest.mark.parametrize("flags, solve, cfg", [
+        (["--lambda", "1", "--eps", "0.1"], solve_penalized_l1_batch,
+         PenalizedL1Config(lambda_reg=1.0, epsilon=0.1)),
+        (["--solver", "irls_lp"], solve_irls_lp_batch, IrlsConfig()),
+    ], ids=["pdhg_eps", "irls"])
+    def test_solve_writes_what_a_wider_batch_computes(self, tmp_path, capsys, flags, solve,
+                                                      cfg):
+        gen, out = tmp_path / "gen", tmp_path / "solve"
+        assert main(["gen", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "2",
+                     "--k", "1", "--eps", "0.01", "--seed", "4", "--out", str(gen)]) == 0
+        assert main(["solve", "--instance", str(gen / "instance.txt"), *flags,
+                     "--out", str(out)]) == 0
+        inst = load_instance(gen / "instance.txt")
+        y = np.stack([gen_instance(inst.model, 3, 2, "gaussian", 0.01, 5).y, inst.y,
+                      gen_instance(inst.model, 1, 0, "gaussian", 0.0, 6).y], axis=1)
+        save_result(tmp_path / "batch.txt", solve(inst.model, y, cfg)[1])
+        assert (out / "result.txt").read_bytes() == (tmp_path / "batch.txt").read_bytes()
 
     @pytest.mark.parametrize("flags", [[], ["--solver", "irls_lp", "--p", "0.7", "--nu", "2"]])
     def test_solve_without_lambda(self, tmp_path, capsys, flags):
@@ -481,6 +524,23 @@ class TestInputFailures:
                      "--out", str(out)])
         assert code == 1
         one_line_error(capsys, "tol")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("args, solver", [
+        (PT + ["--s", "1,2", "--k", "1"], "solve_penalized_l1_batch"),
+        (STAB + ["--s", "1", "--k", "1"], "solve_irls_lp_batch"),
+    ], ids=["pt", "stability"])
+    def test_failed_cell_fails_the_sweep(self, tmp_path, capsys, monkeypatch, args, solver):
+        from demixcs import experiments
+
+        def fail(*_):
+            raise NumericalError("conjugate gradient lost positive curvature")
+
+        monkeypatch.setattr(experiments, solver, fail)
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 1
+        one_line_error(capsys, "NumericalError")
         assert not out.exists()
 
 

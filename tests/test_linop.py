@@ -16,13 +16,12 @@ from demixcs import (
     ShapeError,
     Subsample,
     WalshHadamard,
-    compose,
     hstack,
     identity,
     materialize,
     power_iteration,
 )
-from demixcs.linop import Scaled
+from demixcs.linop import Scaled, chain
 from demixcs.models import build_family, build_modulated_hadamard
 
 from conftest import dense_dft, dense_hadamard, random_complex
@@ -51,7 +50,7 @@ def make_operators(gen):
     ops.append((Circulant(c), circ))
     inner = Dense(random_complex(gen, 4, 6))
     outer = Dense(random_complex(gen, 3, 4))
-    ops.append((compose(outer, inner), outer.matrix @ inner.matrix))
+    ops.append((chain(outer, inner), outer.matrix @ inner.matrix))
     left = Dense(random_complex(gen, 4, 3))
     right = Dense(random_complex(gen, 4, 5))
     ops.append((hstack(left, right), np.hstack([left.matrix, right.matrix])))
@@ -191,28 +190,28 @@ class TestHStack:
 class TestCompose:
     def test_scaling_by_two(self, rng):
         x = random_complex(rng, 4)
-        op = compose(Diagonal(2 * np.ones(4)), identity(4))
+        op = chain(Diagonal(2 * np.ones(4)), identity(4))
         assert np.allclose(op.apply(x), 2 * x)
 
     def test_three_unitaries_preserve_norm(self, rng):
-        u = compose(Fourier(8), compose(WalshHadamard(8), Fourier(8, adjoint=True)))
+        u = chain(Fourier(8), WalshHadamard(8), Fourier(8, adjoint=True))
         x = random_complex(rng, 8)
         assert abs(np.linalg.norm(u.apply(x)) - np.linalg.norm(x)) <= 1e-10
 
     def test_materialized_composition_is_row_slice(self):
-        op = compose(Subsample(np.array([0, 3, 5]), 8), WalshHadamard(8))
+        op = chain(Subsample(np.array([0, 3, 5]), 8), WalshHadamard(8))
         full = dense_hadamard(8) / np.sqrt(8)
         assert np.abs(materialize(op) - full[[0, 3, 5]]).max() < 1e-12
 
     def test_dimension_mismatch_raises(self, rng):
         with pytest.raises(DimensionError):
-            compose(Dense(random_complex(rng, 2, 3)), Dense(random_complex(rng, 2, 3)))
+            chain(Dense(random_complex(rng, 2, 3)), Dense(random_complex(rng, 2, 3)))
 
     def test_materialize_compose_equals_product(self, rng):
         for _ in range(3):
             a = random_complex(rng, 4, 4)
             b = random_complex(rng, 4, 4)
-            got = materialize(compose(Dense(a), Dense(b)))
+            got = materialize(chain(Dense(a), Dense(b)))
             assert np.abs(got - a @ b).max() <= 1e-12
 
 
@@ -296,8 +295,8 @@ class TestRealPath:
         assert Scaled(2.0, WalshHadamard(4)).real
         assert not Scaled(1j, WalshHadamard(4)).real
         assert not Scaled(2.0, Fourier(4)).real
-        assert compose(WalshHadamard(4), Diagonal(np.ones(4))).real
-        assert not compose(Fourier(4), WalshHadamard(4)).real
+        assert chain(WalshHadamard(4), Diagonal(np.ones(4))).real
+        assert not chain(Fourier(4), WalshHadamard(4)).real
         assert not hstack(WalshHadamard(4), Fourier(4)).real
         for kind in (Dense(np.eye(3)), Fourier(4), Circulant(np.ones(4))):
             assert not kind.real

@@ -15,7 +15,6 @@ from demixcs import (
     build_partial_circulant,
     build_subsampled_hadamard,
     coherence,
-    compose,
     gen_instance,
     gen_sparse,
     golay_pair,
@@ -158,14 +157,14 @@ class TestCsOfdm:
     def test_modulated_transform_unitary(self, rng):
         n = 64
         g = golay_pair(6).a
-        mod = compose(Fourier(n, adjoint=True), compose(Diagonal(g), Fourier(n)))
+        mod = chain(Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
         x = random_complex(rng, n)
         assert abs(np.linalg.norm(mod.apply(x)) - np.linalg.norm(x)) <= 1e-10
 
     def test_modulated_transform_coherence_bound(self):
         n = 64
         g = golay_pair(6).a
-        mod = compose(Fourier(n, adjoint=True), compose(Diagonal(g), Fourier(n)))
+        mod = chain(Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
         assert coherence(mod) <= np.sqrt(2.0 / n) + 1e-12
 
     def test_corruption_basis_coherence(self):
@@ -202,7 +201,7 @@ class TestDrpe:
     def test_hadamard_basis_coherence_bound(self):
         n = 64
         g = golay_pair(6).a
-        mod = compose(Fourier(n), compose(Diagonal(g), WalshHadamard(n)))
+        mod = chain(Fourier(n), Diagonal(g), WalshHadamard(n))
         assert coherence(mod) <= 2.0 / np.sqrt(n) + 1e-12
 
     def test_dense_reference(self, rng):
