@@ -10,16 +10,16 @@ operator [A, H]:
 
 Both need only forward/adjoint applications, so the fast structured
 operators keep their advantage.  The primal-dual steps of each column
-follow PDLP's initial primal weight (Applegate et al., NeurIPS 2021), and
-the reweighted loop closes with one weighted solve that puts the returned
-iterate on the constraint [A, H] u = y.  Both, and the conjugate-gradient solves
-inside each reweighted pass, run on column batches through one loop: a
-batch of right-hand sides shares one operator, each solver supplies one
-iteration step, and a column that meets its stopping rule is frozen and
-dropped from the batch.  When [A, H] is real
-and y has no imaginary part the iterations run in float64; they round
-exactly as the complex128 iterations on the same data would, and the
-results are returned as complex128 either way.
+follow PDLP's initial primal weight and adaptive step size (Applegate et
+al., NeurIPS 2021), and the reweighted loop closes with one weighted
+solve that puts the returned iterate on the constraint [A, H] u = y.
+Both, and the conjugate-gradient solves inside each reweighted pass, run
+on column batches through one loop: a batch of right-hand sides shares
+one operator, each solver supplies one iteration step, and a column that
+meets its stopping rule is frozen and dropped from the batch.  When
+[A, H] is real and y has no imaginary part the iterations run in
+float64; they round exactly as the complex128 iterations on the same
+data would, and the results are returned as complex128 either way.
 
 Every per-column sum goes through one reduction, `_col_sum`, so for the
 built model families a column's result does not depend, bit for bit, on
@@ -40,6 +40,9 @@ _TINY = 1e-300
 # _EPS_SHRINK on stagnation, down to _EPS_FLOOR
 _EPS_INIT, _EPS_SHRINK, _EPS_FLOOR = 1.0, 0.1, 1e-8
 _SUCCESS_TOL = 1e-3  # check_success's bound on the summed relative errors
+# PDLP's adaptive step: after step k, eta becomes
+# min((1 - (k+1)^-_STEP_SHRINK_EXP) eta_bar, (1 + (k+1)^-_STEP_GROW_EXP) eta)
+_STEP_SHRINK_EXP, _STEP_GROW_EXP = 0.3, 0.6
 
 
 def _require_finite(cfg):
@@ -114,11 +117,21 @@ def _col_sum(a):
     return np.ascontiguousarray(a.T).sum(axis=1)
 
 
-def _col_norms(a):
-    # |a|^2 formed straight in the transposed layout, with no other temporary
+def _col_sqnorm(a):
+    """Per-column ||a||^2, with |a|^2 formed straight in the transposed
+    layout `_col_sum` reads, so no other temporary is made."""
     sq = np.abs(a.T, order="C")
     sq *= sq
-    return np.sqrt(_col_sum(sq.T))
+    return _col_sum(sq.T)
+
+
+def _col_norms(a):
+    return np.sqrt(_col_sqnorm(a))
+
+
+def _col_dot(a, b):
+    """Per-column Re<a, b>."""
+    return _col_sum(np.real(np.conj(a) * b))
 
 
 def _run_batch(state, step, max_iter, done=None):
@@ -163,19 +176,19 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
     on entry included.  A nonpositive curvature raises NumericalError.
     """
     r = b - apply_fn(x0, *data)
-    rs = _col_sum(np.abs(r) ** 2)
+    rs = _col_sqnorm(r)
     goal = (tol * np.maximum(_col_norms(b), _TINY)) ** 2
 
     def iterate(_, state):
         x, r, p, rs, goal, *data = state
         ap = apply_fn(p, *data)
-        pap = _col_sum(np.real(np.conj(p) * ap))
+        pap = _col_dot(p, ap)
         if np.any(pap <= 0.0):
             raise NumericalError("conjugate gradient lost positive curvature")
         alpha = rs / pap
         x = x + alpha * p
         r = r - alpha * ap
-        rs_new = _col_sum(np.abs(r) ** 2)
+        rs_new = _col_sqnorm(r)
         p = r + (rs_new / rs) * p
         return (x, r, p, rs_new, goal, *data), rs_new <= goal
 
@@ -184,29 +197,49 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
     return x, ok
 
 
-def _pdhg_core(theta, y, tau, sigma, thresholds, eps, tol, max_iter):
-    """Primal-dual iteration on a column batch.
+def _pdhg_core(theta, y, eta, omega, weights, eps, tol, max_iter):
+    """Primal-dual iteration on a column batch, with PDLP's adaptive steps.
 
-    Column j takes primal step tau[j], dual step sigma[j] and the (dim, T)
-    soft thresholds' column j; all three compact with the batch.  Returns
-    (u, iterations, converged) where u is (dim, T) with the dtype of `y`.
-    Converged columns freeze at the iteration where both the relative
-    primal and relative dual change dropped to `tol`.
+    Column j keeps primal weight omega[j] and starts at step size eta[j];
+    a step with size eta takes primal step tau = eta/omega, dual step
+    sigma = eta*omega and soft thresholds tau * `weights` (a (dim, 1)
+    array).  The state carries T u and T* p, so a step costs one forward
+    and one adjoint apply.  Returns (u, iterations, converged) where u is
+    (dim, T) with the dtype of `y`.  Converged columns freeze at the
+    accepted step where both the relative primal and relative dual change
+    dropped to `tol`.
     """
 
     def iterate(it, state):
-        u, ubar, p, y_a, tau, sigma, thr = state
-        r = p + sigma * (theta.apply(ubar) - y_a)
+        u, tu, p, tsp, y_a, omega, eta = state
+        tau, sigma = eta / omega, eta * omega
+        v = u - tau * tsp
+        u_new = _shrink(v, np.abs(v), weights * tau)
+        tu_new = theta.apply(u_new)
+        dtu = tu_new - tu
+        # the extrapolation T(2 u_new - u) - y, on the observation rows
+        r = p + sigma * (dtu + (tu_new - y_a))
         p_new = _shrink(r, _col_norms(r), sigma * eps) if eps > 0 else r
-        v = u - tau * theta.apply_adjoint(p_new)
-        u_new = _shrink(v, np.abs(v), thr)
-        prim = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
-        dual = _col_norms(p_new - p) / np.maximum(_col_norms(p_new), _TINY)
-        return ((u_new, 2.0 * u_new - u, p_new, y_a, tau, sigma, thr),
-                np.maximum(prim, dual) <= tol)
+        tsp_new = theta.apply_adjoint(p_new)
+        du2, dp = _col_sqnorm(u_new - u), p_new - p
+        dp2 = _col_sqnorm(dp)
+        # the largest step this pair of iterates allows, with
+        # Re<du, T* dp> = Re<T du, dp>; 0 there bounds nothing
+        inner = 2.0 * np.abs(_col_dot(dtu, dp))
+        eta_bar = np.divide(omega * du2 + dp2 / omega, inner,
+                            out=np.full_like(du2, np.inf), where=inner > 0.0)
+        ok = eta <= eta_bar
+        eta = np.minimum((1.0 - (it + 1) ** -_STEP_SHRINK_EXP) * eta_bar,
+                         (1.0 + (it + 1) ** -_STEP_GROW_EXP) * eta)
+        change = np.maximum(np.sqrt(du2) / np.maximum(_col_norms(u_new), _TINY),
+                            np.sqrt(dp2) / np.maximum(_col_norms(p_new), _TINY))
+        new = (u_new, tu_new, p_new, tsp_new)
+        if not ok.all():  # a rejected column keeps its iterate
+            new = tuple(np.where(ok, a, b) for a, b in zip(new, (u, tu, p, tsp)))
+        return (*new, y_a, omega, eta), ok & (change <= tol)
 
     u0 = np.zeros((theta.cols, y.shape[1]), dtype=y.dtype)
-    state = (u0, u0.copy(), np.zeros_like(y), y, tau, sigma, thresholds)
+    state = (u0, np.zeros_like(y), np.zeros_like(y), u0.copy(), y, omega, eta)
     return _run_batch(state, iterate, max_iter)
 
 
@@ -248,14 +281,12 @@ def solve_penalized_l1_batch(model, y, cfg):
     """Penalized-l1 recovery for a batch of observations (columns of y)."""
     y_mat = _batchify(model, y)
     theta = hstack(model.A, model.H)
-    norm_est = power_iteration(theta)
-    step = 0.99 / max(norm_est.value, _TINY)
+    eta = np.full(y_mat.shape[1], 0.99 / max(power_iteration(theta).value, _TINY))
     weights = np.concatenate([np.ones(model.n), cfg.lambda_reg * np.ones(model.m)])
     y_norms = _col_norms(y_mat)  # for PDLP's initial primal weight ||w|| / ||y_j||
     omega = np.where(y_norms > 0, np.linalg.norm(weights) / np.maximum(y_norms, _TINY), 1.0)
-    tau, sigma = step / omega, step * omega
-    u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), tau, sigma,
-                              weights[:, None] * tau, cfg.epsilon, cfg.tol, cfg.max_iter)
+    u, iters, ok = _pdhg_core(theta, _working_data(theta, y_mat), eta, omega,
+                              weights[:, None], cfg.epsilon, cfg.tol, cfg.max_iter)
     return _results(model, theta, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x)) + cfg.lambda_reg * np.sum(np.abs(z))))
 
@@ -264,14 +295,22 @@ def solve_penalized_l1(model, y, cfg):
     """Penalized-l1 recovery of (x, z) from a single observation y.
 
     Fixed algorithm: primal-dual hybrid gradient (Chambolle and Pock,
-    JMIV 2011) with extrapolation parameter 1.  With eta = 0.99/||[A, H]||
-    and the weights w = (1, ..., 1, lambda, ..., lambda), the primal step
-    is tau = eta/omega and the dual step sigma = eta * omega, where
-    omega = ||w||/||y|| is PDLP's initial primal weight (Applegate et al.,
-    NeurIPS 2021), or 1 when y = 0; tau * sigma stays eta^2, and the
-    iterates scale with y.  The dual step is the shrinkage realizing the
-    conjugate of the eps-ball indicator (plain translation when eps = 0);
-    the primal step is a componentwise soft threshold at tau * w.
+    JMIV 2011) with extrapolation parameter 1 and PDLP's adaptive step
+    size (Applegate et al., NeurIPS 2021).  With the weights
+    w = (1, ..., 1, lambda, ..., lambda), the primal step is
+    tau = eta/omega and the dual step sigma = eta * omega, where
+    omega = ||w||/||y|| is PDLP's initial primal weight, or 1 when y = 0.
+    A step takes the primal update first, a componentwise soft threshold
+    at tau * w, then the dual update, the shrinkage realizing the
+    conjugate of the eps-ball indicator (plain translation when eps = 0).
+    It is accepted only if eta <= eta_bar =
+    (omega ||du||^2 + ||dp||^2/omega) / (2 |Re<du, [A, H]* dp>|), with
+    eta_bar infinite when that inner product is 0; after step k, accepted
+    or not, eta becomes min((1 - (k+1)^-0.3) eta_bar, (1 + (k+1)^-0.6) eta).
+    The power-iteration estimate of ||[A, H]|| only sets the starting
+    eta = 0.99/||[A, H]||, so a short estimate costs rejected steps, not
+    divergence.  A rejected step counts toward max_iter; the iterates
+    scale with y.
     """
     return solve_penalized_l1_batch(model, y, cfg)[0]
 

@@ -16,7 +16,7 @@ from demixcs import (
     custom_model,
     gen_instance,
 )
-from demixcs.linop import Dense, Diagonal, hstack, identity
+from demixcs.linop import Dense, Diagonal, hstack, identity, power_iteration
 from demixcs.models import build_family
 from demixcs.rip import certify_uniqueness
 from demixcs.seeding import derive_seed
@@ -267,6 +267,48 @@ class TestPenalizedL1:
                     ir.iterations, ir.status, ir.eps_trace)
 
 
+class TestAdaptiveStep:
+    """PDLP's adaptive step: the norm estimate only sets the first step."""
+
+    @pytest.mark.parametrize("factor", [1.0, 10.0, 100.0])
+    def test_overlong_first_step_still_recovers(self, factor):
+        # a fixed step this long diverges; rejected steps shrink it instead
+        model = build_family("mtx1", 64, 32, 3)
+        theta = hstack(model.A, model.H)
+        insts = [gen_instance(model, 2, 2, "gaussian", 0.0, 40 + t) for t in range(6)]
+        y = np.ascontiguousarray(np.stack([inst.y for inst in insts], axis=1).real)
+        weights = np.ones((theta.cols, 1))
+        omega = np.linalg.norm(weights) / np.linalg.norm(y, axis=0)
+        eta = np.full(len(insts), factor * 0.99 / power_iteration(theta).value)
+        u, iters, ok = _pdhg_core(theta, y, eta, omega, weights, 0.0, 1e-9, 5000)
+        assert ok.all()
+        for j, inst in enumerate(insts):
+            err = (np.linalg.norm(u[:model.n, j] - inst.x_true)
+                   + np.linalg.norm(u[model.n:, j] - inst.z_true))
+            assert err <= 1e-6
+        if factor == 10.0:
+            # each column accepts and rejects on its own, as it would alone
+            assert len(set(iters)) > 1
+            for j in range(len(insts)):
+                alone, it_j, _ = _pdhg_core(theta, y[:, [j]], eta[[j]], omega[[j]],
+                                            weights, 0.0, 1e-9, 5000)
+                assert alone[:, 0].tobytes() == u[:, j].tobytes()
+                assert it_j[0] == iters[j]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_zero_column_inside_a_batch_stops_at_once(self, eps):
+        # nothing moves, so Re<du, T* dp> = 0 bounds no step and the first
+        # step is accepted with zero change
+        model = build_family("mtx1", 64, 32, 3)
+        y = np.stack([gen_instance(model, 2, 2, "gaussian", 0.01, 7).y,
+                      np.zeros(model.m),
+                      gen_instance(model, 1, 3, "gaussian", 0.01, 8).y], axis=1)
+        rs = solve_penalized_l1_batch(model, y, PenalizedL1Config(lambda_reg=1.0, epsilon=eps))
+        assert (rs[1].iterations, rs[1].status) == (1, "converged")
+        assert not np.any(rs[1].x_hat) and not np.any(rs[1].z_hat)
+        assert all(r.iterations > 1 and r.status == "converged" for r in (rs[0], rs[2]))
+
+
 def assert_same_result(got, want):
     assert got.x_hat.tobytes() == want.x_hat.tobytes()
     assert got.z_hat.tobytes() == want.z_hat.tobytes()
@@ -434,16 +476,16 @@ class TestRealPath:
         model = build_modulated_hadamard(64, 32, seed=3)
         theta = hstack(model.A, model.H)
         y = real_batch(model, width, 17, noise_amp=0.01 if eps else 0.0)
-        step = 0.99 / np.sqrt(3.0)
-        # distinct steps per column, with tau * sigma = step^2 in each
+        # distinct primal weights and starting steps per column, some of
+        # the steps too long, so some steps are rejected
         omega = np.linspace(0.7, 1.9, width)
-        tau, sigma = step / omega, step * omega
-        thresholds = np.ones((theta.cols, 1)) * tau
+        eta = np.linspace(0.99, 9.0, width) / np.sqrt(3.0)
+        weights = np.ones((theta.cols, 1))
         # the early caps compare intermediate iterates, the last the finish
         for cap in (1, 7, 60, 3000):
-            u_r, it_r, ok_r = _pdhg_core(theta, y, tau, sigma, thresholds, eps, 1e-9, cap)
-            u_c, it_c, ok_c = _pdhg_core(theta, y.astype(np.complex128), tau, sigma,
-                                         thresholds, eps, 1e-9, cap)
+            u_r, it_r, ok_r = _pdhg_core(theta, y, eta, omega, weights, eps, 1e-9, cap)
+            u_c, it_c, ok_c = _pdhg_core(theta, y.astype(np.complex128), eta, omega,
+                                         weights, eps, 1e-9, cap)
             assert u_r.dtype == np.float64 and u_c.dtype == np.complex128
             assert u_r.tobytes() == u_c.real.tobytes()
             assert not np.any(u_c.imag)
