@@ -23,7 +23,6 @@ from .errors import (  # noqa: F401
     UsageError,
 )
 from .linop import (  # noqa: F401
-    Circulant,
     Composed,
     Dense,
     Diagonal,
@@ -39,10 +38,8 @@ from .linop import (  # noqa: F401
     power_iteration,
 )
 from .models import (  # noqa: F401
-    GolayPair,
     ProblemInstance,
     SensingModel,
-    best_s_term_error,
     build_cs_ofdm,
     build_drpe,
     build_family,
@@ -53,6 +50,6 @@ from .models import (  # noqa: F401
     custom_model,
     gen_instance,
     gen_sparse,
-    golay_pair,
+    golay_sequence,
 )
 from .seeding import derive_seed  # noqa: F401

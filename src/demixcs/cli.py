@@ -30,8 +30,8 @@ the library's default.  Every run writes a `run_manifest.txt` with the
 flags given, the seed and the version, so outputs are attributable and
 byte-identical when rerun.
 
-Exit codes: 0 success, 1 computational error (also an invalid sweep spec
-or an unreadable instance file), 2 usage error.
+Exit codes: 0 success, 1 computational error (also an invalid sweep spec,
+an unreadable instance file or an unwritable output path), 2 usage error.
 """
 
 import sys
@@ -276,7 +276,6 @@ def _irls_config(p):
 
 def _emit(cfg, *files, extra=None):
     """Write each (name, writer) into the output directory, then the manifest."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     for name, write in files:
         path = cfg.output_dir / name
         write(path)
@@ -375,7 +374,6 @@ def _cmd_rip(cfg):
             rows.append('"%s","%s",%.17g,%.17g' % (
                 " ".join(map(str, sig)), " ".join(map(str, cor)), emin, emax))
         sup_path = Path(p["support-csv"])
-        sup_path.parent.mkdir(parents=True, exist_ok=True)
         io.write_lines(sup_path, rows)
         print(f"wrote {sup_path}")
     _emit(cfg, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,

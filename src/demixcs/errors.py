@@ -34,7 +34,7 @@ class SchemaError(DemixError):
 
 
 class FormatError(DemixError):
-    """A file cannot be read or does not follow its format."""
+    """A file cannot be read or written, or does not follow its format."""
 
 
 class UsageError(DemixError):

@@ -10,10 +10,12 @@ rebuilt from its family, n, m and seed, which each builder turns into one
 model, reproducibly.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from .errors import DemixError, FormatError
-from .models import ProblemInstance, build_family, canonical_family
+from .models import ProblemInstance, build_family, canonical_family, check_instance_spec
 
 _SUBSEEDS = ("signal", "corruption", "noise")
 _INSTANCE_KEYS = ("family", "n", "m", "model_seed", "s", "k", "setting", "noise_amp", "seed",
@@ -39,9 +41,14 @@ def parse_vector_lines(lines):
 
 
 def write_lines(path, lines):
-    """Write text lines, each ending in a newline."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write text lines, each ending in a newline, creating missing parent
+    directories.  A path that cannot be written raises FormatError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise FormatError(f"cannot write '{path}': {exc}") from None
 
 
 def write_record(path, header, blocks=(), title=None):
@@ -111,7 +118,10 @@ def load_instance(path):
 
     A file that `read_record` refuses, or one that lacks an entry, holds
     one that does not parse, or holds a header entry or block this reader
-    does not read, raises FormatError.
+    does not read, raises FormatError.  So does a block whose length is
+    not n (`x_true`) or m (the others) or that holds a non-finite entry,
+    a header that `gen_instance` would refuse, and a y that differs from
+    A x + H z + w.
     """
     header, blocks = read_record(path)
     for key in header:
@@ -136,8 +146,19 @@ def load_instance(path):
         raise FormatError(f"instance file '{path}' lacks entry {exc}") from None
     except ValueError as exc:
         raise FormatError(f"instance file '{path}' is malformed: {exc}") from None
-
+    for name, vec in vecs.items():
+        length = n if name == "x_true" else m
+        if vec.size != length:
+            raise FormatError(f"instance file '{path}' block '[{name}]' holds {vec.size} "
+                              f"rows, expected {length}")
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"instance file '{path}' block '[{name}]' holds a "
+                              "non-finite entry")
     model = build_family(family, n, m, model_seed)
+    try:
+        check_instance_spec(model, meta["s"], meta["k"], meta["setting"], meta["noise_amp"])
+    except DemixError as exc:
+        raise FormatError(f"instance file '{path}': {exc}") from None
     inst = ProblemInstance(
         model=model,
         x_true=vecs["x_true"], z_true=vecs["z_true"],
@@ -145,8 +166,9 @@ def load_instance(path):
 
     recomputed = model.A.apply(inst.x_true) + model.H.apply(inst.z_true) + inst.w
     drift = np.linalg.norm(recomputed - inst.y)
-    if drift > 1e-12 * max(np.linalg.norm(inst.y), 1.0):
-        raise DemixError(f"instance file inconsistent: |y - (Ax+Hz+w)| = {drift:g}")
+    if not drift <= 1e-12 * max(np.linalg.norm(inst.y), 1.0):
+        raise FormatError(f"instance file '{path}' inconsistent: "
+                          f"|y - (Ax+Hz+w)| = {drift:g}")
     return inst
 
 

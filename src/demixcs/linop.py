@@ -29,16 +29,6 @@ def is_power_of_two(n):
     return n > 0 and (n & (n - 1)) == 0
 
 
-def as_complex_vector(x, name):
-    """Validate and convert to a finite 1-D complex128 array."""
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ArgumentError(f"{name} contains non-finite entries")
-    return v
-
-
 class LinearOperator:
     """Base class: a rows x cols linear map with forward/adjoint action."""
 
@@ -114,7 +104,11 @@ class Diagonal(LinearOperator):
     kind = "Diagonal"
 
     def __init__(self, d):
-        d = as_complex_vector(d, name="diagonal")
+        d = np.asarray(d, dtype=np.complex128)
+        if d.ndim != 1:
+            raise DimensionError(f"diagonal must be 1-D, got shape {d.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ArgumentError("diagonal contains non-finite entries")
         super().__init__(d.shape[0], d.shape[0])
         self.diag = d
         self.real = not np.any(d.imag)
@@ -220,28 +214,6 @@ class Fourier(LinearOperator):
     def describe(self):
         star = "*" if self.adjoint else ""
         return f"{self.kind}{star} {self.rows}x{self.cols}"
-
-
-class Circulant(LinearOperator):
-    """Circulant matrix whose FIRST COLUMN is `first_col`.
-
-    Application is the length-n cyclic convolution first_col (*) x,
-    computed in the Fourier domain.
-    """
-
-    kind = "Circulant"
-
-    def __init__(self, first_col):
-        c = as_complex_vector(first_col, name="first_col")
-        super().__init__(c.shape[0], c.shape[0])
-        self.first_col = c
-        self._spectrum = np.fft.fft(c)
-
-    def _apply(self, x):
-        return np.fft.ifft(self._spectrum[:, None] * np.fft.fft(x, axis=0), axis=0)
-
-    def _apply_adjoint(self, u):
-        return np.fft.ifft(self._spectrum.conj()[:, None] * np.fft.fft(u, axis=0), axis=0)
 
 
 class Scaled(LinearOperator):

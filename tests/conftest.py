@@ -37,7 +37,7 @@ def dense_family_reference(family, n, m, seed):
     numpy matrices, so agreement with the operator path checks the fast
     transforms end to end.
     """
-    from demixcs.models import _rademacher, _row_subset, golay_pair
+    from demixcs.models import _rademacher, _row_subset, golay_sequence
     from demixcs.seeding import rng as make_rng
 
     had = dense_hadamard(n)
@@ -59,12 +59,12 @@ def dense_family_reference(family, n, m, seed):
         h = np.eye(m)
     elif family == "cs-ofdm":
         omega = _row_subset(make_rng(seed, 0), n, m)
-        g = golay_pair(int(np.log2(n))).a
+        g = golay_sequence(int(np.log2(n)))
         a = np.sqrt(n / m) * (f.conj().T @ np.diag(g) @ f)[omega]
         h = dense_dft(m)
     elif family == "drpe":
         phases = np.exp(2j * np.pi * make_rng(seed, 0).random(n))
-        g = golay_pair(int(np.log2(n))).a
+        g = golay_sequence(int(np.log2(n)))
         a = np.sqrt(n / m) * (f.conj().T @ np.diag(phases) @ f @ np.diag(g))[:m]
         h = np.eye(m)
     else:

@@ -341,6 +341,10 @@ class TestInputFailures:
         ("k = 1\n", "k = 1\nk = 2\n", "'k' given twice"),
         ("[w]\n", "[x_true]\n", "'x_true' given twice"),
         ("[w]\n", "[notes]\nhello\n[w]\n", r"unknown block '\[notes\]'"),
+        # headers that gen would refuse
+        ("s = 1\n", "s = 99\n", r"signal sparsity 99 outside \[0, 32\]"),
+        ("noise_amp = 0.0\n", "noise_amp = -1.0\n", "noise_amp must be finite"),
+        ("setting = gaussian\n", "setting = bogus\n", "unknown setting 'bogus'"),
     ])
     def test_header_line_the_reader_refuses(self, tmp_path, capsys, old, new, name):
         model = build_cs_ofdm(32, 16, seed=5)
@@ -377,6 +381,40 @@ class TestInputFailures:
         assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
         one_line_error(capsys, "FormatError")
         assert not out.exists()
+
+    @pytest.mark.parametrize("block, rows, name", [
+        ("y", [], r"'\[y\]' holds 15 rows, expected 16"),
+        ("w", [], r"'\[w\]' holds 15 rows, expected 16"),
+        ("x_true", ["nan,0.0"], r"'\[x_true\]' holds a non-finite entry"),
+    ], ids=["y-row-short", "w-row-short", "x_true-nan-row"])
+    def test_vector_block_the_reader_refuses(self, tmp_path, capsys, block, rows, name):
+        model = build_cs_ofdm(32, 16, seed=5)
+        path = tmp_path / "inst.txt"
+        save_instance(path, gen_instance(model, 1, 1, "gaussian", 0.0, seed=9))
+        lines = path.read_text().splitlines()
+        at = lines.index(f"[{block}]") + 1
+        lines[at:at + 1] = rows
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=name):
+            load_instance(path)
+        out = tmp_path / "out"
+        assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
+        one_line_error(capsys, "FormatError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out, support_csv", [
+        ("file", None), ("file/sub", None), ("out", "file/sup.csv"),
+    ], ids=["out-is-a-file", "out-below-a-file", "support-csv-below-a-file"])
+    def test_unwritable_output_path(self, tmp_path, capsys, out, support_csv):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        args = self.RIP + ["--s", "1", "--k", "1", "--out", str(tmp_path / out)]
+        if support_csv:
+            args += ["--support-csv", str(tmp_path / support_csv)]
+        assert main(args) == 1
+        one_line_error(capsys, "FormatError")
+        assert blocker.read_text() == "kept\n"
+        assert not (tmp_path / "out").exists()
 
     def test_single_trial_stability(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from demixcs import (
     BudgetError,
-    Circulant,
     Dense,
     Diagonal,
     DimensionError,
@@ -45,9 +44,6 @@ def make_operators(gen):
     ops.append((WalshHadamard(8), dense_hadamard(8) / np.sqrt(8)))
     ops.append((Fourier(8), dense_dft(8)))
     ops.append((Fourier(8, adjoint=True), dense_dft(8).conj().T))
-    c = random_complex(gen, 8)
-    circ = np.column_stack([np.roll(c, j) for j in range(8)])
-    ops.append((Circulant(c), circ))
     inner = Dense(random_complex(gen, 4, 6))
     outer = Dense(random_complex(gen, 3, 4))
     ops.append((chain(outer, inner), outer.matrix @ inner.matrix))
@@ -127,22 +123,6 @@ class TestFourier:
         f = Fourier(16)
         assert abs(np.linalg.norm(f.apply(x)) - np.linalg.norm(x)) <= 1e-10
         assert np.linalg.norm(f.apply_adjoint(f.apply(x)) - x) <= 1e-10
-
-
-class TestCirculant:
-    def test_first_column_convention(self):
-        out = Circulant(unit(4, 1)).apply(unit(4, 0))
-        assert np.linalg.norm(out - unit(4, 1)) < 1e-12
-
-    def test_diagonalization_identity(self, rng):
-        # C x = sqrt(n) * F_adj(F(eps) . F(x)) in the unitary convention
-        n = 16
-        eps = random_complex(rng, n)
-        x = random_complex(rng, n)
-        f = Fourier(n)
-        fast = Circulant(eps).apply(x)
-        spectral = f.apply_adjoint(f.apply(eps) * f.apply(x)) * np.sqrt(n)
-        assert np.linalg.norm(fast - spectral) <= 1e-10 * np.linalg.norm(fast)
 
 
 class TestSubsampleAndDiagonal:
@@ -298,7 +278,7 @@ class TestRealPath:
         assert chain(WalshHadamard(4), Diagonal(np.ones(4))).real
         assert not chain(Fourier(4), WalshHadamard(4)).real
         assert not hstack(WalshHadamard(4), Fourier(4)).real
-        for kind in (Dense(np.eye(3)), Fourier(4), Circulant(np.ones(4))):
+        for kind in (Dense(np.eye(3)), Fourier(4)):
             assert not kind.real
 
     @pytest.mark.parametrize("family", sorted(REAL_PARTS))
