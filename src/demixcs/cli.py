@@ -1,25 +1,9 @@
 """Command-line surface: build models, generate instances, solve, sweep.
 
-Flags are `--key value` pairs, and each subcommand takes its own set
-(required, then [optional]):
-
-    model      --family --n --m [--seed]
-    gen        --family --n --m --s --k [--eps --setting --noise-model --seed]
-    solve      --instance [--solver]
-    pt         --family --n --m --s --k --trials
-               [--lambda --setting --max-iter --tol --seed --threads]
-    stability  --family --n --m --s --k --eps --trials [--solver --seed --threads]
-    rip        --family --n --m --s --k [--lambda --budget --support-csv --seed]
-    bounds     --theorem --s --k --delta
-
-Some flags are read only for one value of another flag:
-
-    solve --solver penalized_l1 (default)  [--lambda --eps --max-iter --tol]
-    solve --solver irls_lp                 [--p --nu]
-    stability --solver penalized_l1        [--lambda --max-iter --tol]
-    stability --solver irls_lp             [--p --nu]
-    bounds --theorem 2                     --ntilde --mu-b
-    bounds --theorem 3                     --n --mu-g
+Flags are `--key value` pairs, each given at most once.  Each
+subcommand takes its own set of flags, and some flags are read only for
+one value of `--solver` or `--theorem`; `demixcs --help` prints the
+tables, which `_FLAGS` and `_CHOICES` below hold.
 
 Stability's `--solver` is a comma list and defaults to both solvers.
 Every subcommand also takes `--config file` and `--out dir`.  The config
@@ -47,6 +31,7 @@ from .linop import materialize
 from .models import build_family, canonical_family, coherence, gen_instance
 from .experiments import (
     PhaseTransitionSpec,
+    ResultTable,
     StabilitySpec,
     emit_csv,
     emit_plot,
@@ -63,7 +48,7 @@ from .solvers import (
 # subcommand -> (required flags, optional flags); `_COMMON` flags apply to all
 _FLAGS = {
     "model": (("family", "n", "m"), ("seed",)),
-    "gen": (("family", "n", "m", "s", "k"), ("eps", "setting", "noise-model", "seed")),
+    "gen": (("family", "n", "m", "s", "k"), ("eps", "setting", "seed")),
     "solve": (("instance",), ("solver",)),
     "pt": (("family", "n", "m", "s", "k", "trials"),
            ("lambda", "setting", "max-iter", "tol", "seed", "threads")),
@@ -170,6 +155,8 @@ def parse_args(argv):
             raise UsageError(f"'{sub}' takes no flag '--{name}'")
         if i + 1 >= len(argv):
             raise UsageError(f"flag '--{name}' needs a value")
+        if name in raw:
+            raise UsageError(f"flag '--{name}' given twice")
         raw[name] = argv[i + 1]
         i += 2
 
@@ -275,15 +262,26 @@ def _irls_config(p):
 
 
 def _emit(cfg, *files, extra=None):
-    """Write each (name, writer) into the output directory, then the manifest."""
-    for name, write in files:
-        path = cfg.output_dir / name
-        write(path)
-        print(f"wrote {path}")
+    """Write each (path, writer), then the manifest into the output directory.
+
+    A write that fails removes the files written before it, so a failed
+    run leaves none behind.
+    """
     header = [("subcommand", cfg.subcommand), ("seed", cfg.seed), ("version", __version__)]
     for entries in (cfg.params, extra or {}):
         header += sorted(entries.items())
-    io.write_record(cfg.output_dir / "run_manifest.txt", header)
+    written = []
+    try:
+        for path, write in files:
+            write(path)
+            written.append(path)
+        io.write_record(cfg.output_dir / "run_manifest.txt", header)
+    except DemixError:
+        for path in written:
+            path.unlink()
+        raise
+    for path in written:
+        print(f"wrote {path}")
 
 
 def _cmd_model(cfg):
@@ -299,11 +297,10 @@ def _cmd_model(cfg):
 def _cmd_gen(cfg):
     p = cfg.params
     s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
-    noise_amp = _single_int(p.get("eps") or "0", "eps", float)
+    noise_amp = _single_int(p.get("eps", "0"), "eps", float)
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    inst = gen_instance(model, s, k, p.get("setting", "gaussian"), noise_amp, cfg.seed,
-                        **_given(p, noise_model="noise-model"))
-    _emit(cfg, ("instance.txt", lambda path: io.save_instance(path, inst)))
+    inst = gen_instance(model, s, k, p.get("setting", "gaussian"), noise_amp, cfg.seed)
+    _emit(cfg, (cfg.output_dir / "instance.txt", lambda path: io.save_instance(path, inst)))
     return 0
 
 
@@ -318,7 +315,7 @@ def _cmd_solve(cfg):
     result = solve(inst.model, inst.y, solver_cfg)
     print(f"status={result.status} iterations={result.iterations} "
           f"residual={result.residual:.6g} objective={result.objective:.6g}")
-    _emit(cfg, ("result.txt", lambda path: io.save_result(path, result)))
+    _emit(cfg, (cfg.output_dir / "result.txt", lambda path: io.save_result(path, result)))
     return 0
 
 
@@ -333,8 +330,9 @@ def _cmd_pt(cfg):
         lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
         master_seed=cfg.seed)
     table = run_phase_transition(spec)
-    _emit(cfg, ("phase_transition.csv", lambda path: emit_csv(table, path)),
-          ("phase_transition.svg", lambda path: emit_plot(table, "success_vs_s", path)))
+    out = cfg.output_dir
+    _emit(cfg, (out / "phase_transition.csv", lambda path: emit_csv(table, path)),
+          (out / "phase_transition.svg", lambda path: emit_plot(table, "success_vs_s", path)))
     return 0
 
 
@@ -350,8 +348,9 @@ def _cmd_stability(cfg):
         lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
         master_seed=cfg.seed, **solvers)
     table = run_stability(spec)
-    _emit(cfg, ("stability.csv", lambda path: emit_csv(table, path)),
-          ("stability.svg", lambda path: emit_plot(table, "error_vs_eps", path)))
+    out = cfg.output_dir
+    _emit(cfg, (out / "stability.csv", lambda path: emit_csv(table, path)),
+          (out / "stability.svg", lambda path: emit_plot(table, "error_vs_eps", path)))
     return 0
 
 
@@ -367,17 +366,16 @@ def _cmd_rip(cfg):
     print(f"satisfied = {'true' if cert.satisfied else 'false'}")
     print(f"witness_signal_support = {list(cert.skrip.witness_signal_support)}")
     print(f"witness_corruption_support = {list(cert.skrip.witness_corruption_support)}")
+    files = []
     if "support-csv" in p:
         a, h = materialize(model.A), materialize(model.H)
-        rows = ["signal_support,corruption_support,eig_min,eig_max"]
-        for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * s, 2 * k, budget):
-            rows.append('"%s","%s",%.17g,%.17g' % (
-                " ".join(map(str, sig)), " ".join(map(str, cor)), emin, emax))
-        sup_path = Path(p["support-csv"])
-        io.write_lines(sup_path, rows)
-        print(f"wrote {sup_path}")
-    _emit(cfg, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
-                      "satisfied": str(cert.satisfied).lower()})
+        columns = ("signal_support", "corruption_support", "eig_min", "eig_max")
+        table = ResultTable(columns=columns, provenance={}, rows=[
+            (" ".join(map(str, sig)), " ".join(map(str, cor)), emin, emax)
+            for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * s, 2 * k, budget)])
+        files.append((Path(p["support-csv"]), lambda path: emit_csv(table, path)))
+    _emit(cfg, *files, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
+                              "satisfied": str(cert.satisfied).lower()})
     return 0
 
 
@@ -410,11 +408,6 @@ _DISPATCH = {
 }
 
 
-def dispatch(cfg):
-    """Route a parsed config to its subcommand; returns the exit code."""
-    return _DISPATCH[cfg.subcommand](cfg)
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -425,7 +418,7 @@ def main(argv=None):
         return 2
     started = time.perf_counter()
     try:
-        code = dispatch(cfg)
+        code = _DISPATCH[cfg.subcommand](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

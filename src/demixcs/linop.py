@@ -19,10 +19,13 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ArgumentError, BudgetError, DimensionError, ShapeError
+from .seeding import rng
 
 # Cap on rows*cols for dense materialization; the enumeration oracles only
 # ever need small instances.
 MATERIALIZE_BUDGET = 1 << 22
+# power_iteration's stopping rule; see its docstring
+_POWER_TOL, _POWER_MAX_ITER = 1e-6, 500
 
 
 def is_power_of_two(n):
@@ -40,10 +43,6 @@ class LinearOperator:
             raise DimensionError(f"operator dimensions must be positive, got {rows}x{cols}")
         self.rows = int(rows)
         self.cols = int(cols)
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
 
     def apply(self, x):
         """Forward action on a vector of length cols (or a (cols, T) batch)."""
@@ -78,9 +77,6 @@ class LinearOperator:
     def describe(self):
         """One-line structured header for logs."""
         return f"{self.kind} {self.rows}x{self.cols}"
-
-    def __repr__(self):
-        return f"<{self.describe()}>"
 
 
 class Dense(LinearOperator):
@@ -327,32 +323,27 @@ def materialize(op):
 NormEstimate = namedtuple("NormEstimate", ["value", "iterations", "converged"])
 
 
-def power_iteration(op, tol=1e-6, max_iter=500, seed=0):
+def power_iteration(op):
     """Largest singular value of `op`, iterating on op* op.
 
-    Stops when the relative change between successive estimates drops
-    below `tol`.  Returns a NormEstimate; `converged` is False when
-    max_iter was exhausted, in which case `value` is the best estimate.
+    Starts from a fixed Gaussian draw and stops when the relative change
+    between successive estimates drops below _POWER_TOL.  Returns a
+    NormEstimate; `converged` is False when _POWER_MAX_ITER iterations
+    were exhausted, in which case `value` is the best estimate.
     """
-    from .seeding import rng
-
-    gen = rng(seed, 11)
+    gen = rng(0, 11)
     v = gen.standard_normal(op.cols) + 1j * gen.standard_normal(op.cols)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        v = np.ones(op.cols, dtype=np.complex128)
-        nv = np.linalg.norm(v)
-    v = v / nv
+    v = v / np.linalg.norm(v)
 
     estimate = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         w = op.apply(v)
         new = float(np.linalg.norm(w))
         if new == 0.0:
             return NormEstimate(0.0, it, True)
-        if it > 1 and abs(new - estimate) <= tol * new:
+        if it > 1 and abs(new - estimate) <= _POWER_TOL * new:
             return NormEstimate(new, it, True)
         estimate = new
         v = op.apply_adjoint(w)
         v = v / np.linalg.norm(v)
-    return NormEstimate(estimate, max_iter, False)
+    return NormEstimate(estimate, _POWER_MAX_ITER, False)

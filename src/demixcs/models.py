@@ -31,13 +31,9 @@ from .seeding import derive_seed, rng
 FAMILY_ALIASES = {
     "mtx1": "modulated-hadamard",
     "mtx2": "subsampled-hadamard",
-    "partial_circulant": "partial-circulant",
-    "csofdm": "cs-ofdm",
-    "cs_ofdm": "cs-ofdm",
 }
 
 SETTINGS = ("gaussian", "flat")
-NOISE_MODELS = ("symmetric", "zero-one")
 
 
 def canonical_family(name):
@@ -198,8 +194,8 @@ def build_drpe(n, m, seed):
     return SensingModel(A=a, H=identity(m), family="drpe", m=m, n=n, seed=int(seed))
 
 
-def custom_model(a_matrix, h_matrix=None, seed=0):
-    """Wrap dense matrices as a SensingModel (family 'custom').
+def custom_model(a_matrix, h_matrix=None):
+    """Wrap dense matrices as a SensingModel (family 'custom', seed 0).
 
     A custom model has no builder, so it cannot be rebuilt from a family
     name or persisted as an instance file.
@@ -208,7 +204,7 @@ def custom_model(a_matrix, h_matrix=None, seed=0):
     h = Dense(h_matrix) if h_matrix is not None else identity(a.rows)
     if h.rows != a.rows or h.rows != h.cols:
         raise ShapeError("H must be square with as many rows as A")
-    return SensingModel(A=a, H=h, family="custom", m=a.rows, n=a.cols, seed=int(seed))
+    return SensingModel(A=a, H=h, family="custom", m=a.rows, n=a.cols, seed=0)
 
 
 _BUILDERS = {
@@ -268,17 +264,15 @@ def check_instance_spec(model, s, k, setting, noise_amp):
         raise ShapeError(f"unknown setting '{setting}'")
 
 
-def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric"):
+def gen_instance(model, s, k, setting, noise_amp, seed):
     """Draw (x, z, w) and assemble y = A x + H z + w.
 
-    Dense noise entries all have magnitude `noise_amp`: symmetric gives
-    i.i.d. +-noise_amp signs, `noise_model="zero-one"` gives i.i.d.
-    {0, noise_amp} entries.  Sub-seeds for signal, corruption and noise
-    are derived from `seed` so the draw is reproducible componentwise.
+    The dense noise w has i.i.d. +-noise_amp entries, so
+    ||w||_2 = noise_amp * sqrt(m).  Sub-seeds for signal, corruption and
+    noise are derived from `seed` so the draw is reproducible
+    componentwise.
     """
     check_instance_spec(model, s, k, setting, noise_amp)
-    if noise_model not in NOISE_MODELS:
-        raise ShapeError(f"unknown noise model '{noise_model}'")
     sub = {
         "signal": derive_seed(seed, (1,)),
         "corruption": derive_seed(seed, (2,)),
@@ -289,11 +283,7 @@ def gen_instance(model, s, k, setting, noise_amp, seed, noise_model="symmetric")
     if noise_amp == 0:
         w = np.zeros(model.m, dtype=np.complex128)
     else:
-        gen = rng(sub["noise"], 0)
-        if noise_model == "symmetric":
-            w = (noise_amp * _rademacher(gen, model.m)).astype(np.complex128)
-        else:
-            w = (noise_amp * gen.integers(0, 2, model.m)).astype(np.complex128)
+        w = (noise_amp * _rademacher(rng(sub["noise"], 0), model.m)).astype(np.complex128)
     y = model.A.apply(x) + model.H.apply(z) + w
     return ProblemInstance(
         model=model, x_true=x, z_true=z, w=w, y=y, s=int(s), k=int(k),

@@ -262,7 +262,15 @@ def _working_data(theta, y_mat):
 
 
 def _results(model, theta, y_mat, u, iters, ok, objective, traces=None):
-    """One SolveResult per column of the final iterates `u` = (x; z)."""
+    """One SolveResult per column of the final iterates `u` = (x; z).
+
+    A non-finite entry in `u` raises NumericalError rather than return a
+    NaN estimate.
+    """
+    bad = ~np.all(np.isfinite(u), axis=0)
+    if bad.any():
+        raise NumericalError(f"{bad.sum()} of {bad.size} columns ended with a "
+                             "non-finite iterate")
     resid = _col_norms(y_mat - theta.apply(u))
     results = []
     for j in range(y_mat.shape[1]):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,38 @@ class TestFlagTable:
         assert main(self.SOLVE + ["--config", str(cfg_file), "--out", str(out)]) == 2
         one_line_error(capsys, "--eps")
         assert not out.exists()
+
+    def test_flag_given_twice(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["model", "--family", "mtx1", "--n", "32", "--m", "16", "--seed", "1",
+                     "--seed", "2", "--out", str(out)]) == 2
+        one_line_error(capsys, "'--seed' given twice")
+        assert not out.exists()
+
+    def test_readme_tables_match_usage(self):
+        """README's flag tables hold, row by row, the flags `--help` prints."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = []
+        for block in readme.split("```")[1::2]:
+            for raw in block.splitlines():
+                if raw[:1].isspace() and lines:
+                    lines[-1] += raw  # a wrapped row
+                else:
+                    lines.append(raw)
+        rows = [" ".join(line.split()) for line in lines]
+        usage = [" ".join(line.split()) for line in cli._usage().splitlines()]
+        for sub, flags in cli._FLAGS.items():
+            row = f"{sub} {cli._flag_list(*flags)}"
+            assert row in usage
+            assert row in rows, f"README lacks the row '{row}'"
+        for sub, (choice, table) in cli._CHOICES.items():
+            for value in table:
+                head = f"{sub} --{choice} {value} "
+                want = [r[len(head + "also reads "):] for r in usage if r.startswith(head)]
+                got = [r[len(head):].removeprefix("(default) ") for r in rows
+                       if r.startswith(head)]
+                assert len(want) == 1
+                assert got == want, f"README's '{head}' row lists {got}, not {want}"
 
     def test_table_usage_and_parsers_agree(self):
         accepted = {name for required, optional in cli._FLAGS.values()
@@ -404,17 +437,21 @@ class TestInputFailures:
 
     @pytest.mark.parametrize("out, support_csv", [
         ("file", None), ("file/sub", None), ("out", "file/sup.csv"),
-    ], ids=["out-is-a-file", "out-below-a-file", "support-csv-below-a-file"])
+        ("file", "sup.csv"), ("out", "dir"),
+    ], ids=["out-is-a-file", "out-below-a-file", "support-csv-below-a-file",
+            "out-is-a-file-after-support-csv", "support-csv-is-a-directory"])
     def test_unwritable_output_path(self, tmp_path, capsys, out, support_csv):
         blocker = tmp_path / "file"
         blocker.write_text("kept\n")
+        (tmp_path / "dir").mkdir()
         args = self.RIP + ["--s", "1", "--k", "1", "--out", str(tmp_path / out)]
         if support_csv:
             args += ["--support-csv", str(tmp_path / support_csv)]
         assert main(args) == 1
         one_line_error(capsys, "FormatError")
         assert blocker.read_text() == "kept\n"
-        assert not (tmp_path / "out").exists()
+        # neither the support CSV nor the manifest is left behind
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
 
     def test_single_trial_stability(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -516,6 +553,7 @@ class TestInputFailures:
         (STAB + ["--s", "1:2", "--k", "1"], "--s"),
         (STAB + ["--s", "1", "--k", "1,2"], "--k"),
         (SOLVE[:3] + ["--eps", "abc", "--instance", "absent.txt"], "--eps"),
+        (GEN + ["--s", "1", "--k", "1", "--eps", ""], "--eps"),
     ])
     def test_list_where_one_value_is_taken(self, tmp_path, capsys, args, flag):
         out = tmp_path / "out"
@@ -540,7 +578,6 @@ class TestInputFailures:
          "eps_values"),
         (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "-0.1,0", "--trials", "2"],
          "eps_values"),
-        (GEN + ["--s", "1", "--k", "1", "--eps", "0", "--noise-model", "weird"], "weird"),
     ])
     def test_invalid_value_fails_before_running(self, tmp_path, capsys, args, name):
         out = tmp_path / "out"
@@ -579,6 +616,18 @@ class TestInputFailures:
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 1
         one_line_error(capsys, "NumericalError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        PT + ["--s", "1", "--k", "1", "--lambda", "1e308"],
+        STAB + ["--s", "1", "--k", "1", "--lambda", "1e160", "--solver", "penalized_l1"],
+    ], ids=["pt", "stability"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_solve_fails_the_sweep(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main(args + ["--max-iter", "50", "--out", str(out)]) == 1
+        one_line_error(capsys, "non-finite iterate")
         assert not out.exists()
 
 

@@ -277,13 +277,6 @@ class TestGenInstance:
         assert np.array_equal(a.x_true, b.x_true)
         assert a.sub_seeds == b.sub_seeds
 
-    def test_zero_one_noise_model(self):
-        model = build_modulated_hadamard(32, 16, seed=0)
-        inst = gen_instance(model, 1, 1, "gaussian", 0.5, seed=2,
-                            noise_model="zero-one")
-        vals = set(np.round(inst.w.real, 12))
-        assert vals <= {0.0, 0.5}
-
     @pytest.mark.parametrize("amp", [-0.1, float("nan"), float("inf")])
     def test_bad_noise_amplitude_rejected(self, amp):
         model = build_modulated_hadamard(32, 16, seed=0)

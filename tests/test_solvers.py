@@ -459,6 +459,24 @@ class TestConfigFiniteness:
                     cls(**{**base, name: bad})
 
 
+class TestNonFiniteIterate:
+    """A solve whose final iterate is not finite raises instead of
+    returning NaN estimates."""
+
+    @pytest.mark.parametrize("solve, scale, cfg", [
+        (solve_penalized_l1_batch, 1.0, PenalizedL1Config(lambda_reg=1e160, max_iter=50)),
+        (solve_irls_lp_batch, 1e150, IrlsConfig()),
+    ], ids=["pdhg-lambda-1e160", "irls-y-times-1e150"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_raises_numerical_error(self, solve, scale, cfg):
+        model = build_modulated_hadamard(32, 16, seed=0)
+        y = np.stack([gen_instance(model, 1, 1, "gaussian", 0.0, seed).y
+                      for seed in (1, 2)], axis=1)
+        with pytest.raises(NumericalError, match="2 of 2 columns ended with a non-finite"):
+            solve(model, scale * y, cfg)
+
+
 def real_batch(model, count, seed, noise_amp=0.0):
     insts = [gen_instance(model, 2, 2, "gaussian", noise_amp,
                           seed=derive_seed(seed, (t,))) for t in range(count)]
