@@ -14,12 +14,8 @@ from .errors import (  # noqa: F401
     ArgumentError,
     BudgetError,
     DemixError,
-    DimensionError,
     FormatError,
     NumericalError,
-    SchemaError,
-    ShapeError,
-    SparsityError,
     UsageError,
 )
 from .linop import (  # noqa: F401

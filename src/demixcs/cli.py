@@ -54,7 +54,7 @@ _FLAGS = {
            ("lambda", "setting", "max-iter", "tol", "seed", "threads")),
     "stability": (("family", "n", "m", "s", "k", "eps", "trials"),
                   ("solver", "seed", "threads")),
-    "rip": (("family", "n", "m", "s", "k"), ("lambda", "budget", "support-csv", "seed")),
+    "rip": (("family", "n", "m", "s", "k"), ("lambda", "support-csv", "seed")),
     "bounds": (("theorem", "s", "k", "delta"), ()),
 }
 _COMMON = ("config", "out")
@@ -75,7 +75,7 @@ SUBCOMMANDS = tuple(_FLAGS)
 # numeric flags; every other value stays text for its subcommand to read
 _PARSERS = {
     "n": int, "m": int, "trials": int, "seed": int, "threads": int,
-    "theorem": int, "ntilde": int, "budget": int, "max-iter": int,
+    "theorem": int, "ntilde": int, "max-iter": int,
     "lambda": float, "p": float, "nu": float, "mu-b": float, "mu-g": float,
     "delta": float, "tol": float,
 }
@@ -357,9 +357,8 @@ def _cmd_stability(cfg):
 def _cmd_rip(cfg):
     p = cfg.params
     s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
-    budget = p.get("budget", rip.ENUM_BUDGET)
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    cert = rip.certify_uniqueness(model, s, k, p.get("lambda", _LAMBDA), budget)
+    cert = rip.certify_uniqueness(model, s, k, p.get("lambda", _LAMBDA))
     print(f"delta_2s2k = {cert.delta_2s2k:.6g}")
     print(f"eta = {cert.eta:.6g}")
     print(f"threshold = {cert.threshold:.6g}")
@@ -372,7 +371,7 @@ def _cmd_rip(cfg):
         columns = ("signal_support", "corruption_support", "eig_min", "eig_max")
         table = ResultTable(columns=columns, provenance={}, rows=[
             (" ".join(map(str, sig)), " ".join(map(str, cor)), emin, emax)
-            for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * s, 2 * k, budget)])
+            for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * s, 2 * k)])
         files.append((Path(p["support-csv"]), lambda path: emit_csv(table, path)))
     _emit(cfg, *files, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
                               "satisfied": str(cert.satisfied).lower()})

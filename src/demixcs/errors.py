@@ -1,40 +1,31 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+One class per kind of fault, so a refused input names the same class
+whichever function or subcommand received it.  `DemixError` is the base
+that callers catch; the package never raises it directly.  The CLI
+prints the class name in its one-line message and exits 2 for a
+`UsageError` and 1 for every other class.
+"""
 
 
 class DemixError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(DemixError):
-    """Operand shape is incompatible with an operator's dimensions."""
-
-
-class ShapeError(DemixError):
-    """A structural size requirement is violated (e.g. not a power of two)."""
+class ArgumentError(DemixError):
+    """A value, size, shape or name that the function does not accept."""
 
 
 class BudgetError(DemixError):
-    """A dense materialization or enumeration would exceed its budget."""
-
-
-class SparsityError(DemixError):
-    """Requested sparsity level exceeds the vector length."""
-
-
-class ArgumentError(DemixError):
-    """An argument value is outside its admissible range."""
+    """Valid input whose dense materialization or enumeration exceeds a fixed cap."""
 
 
 class NumericalError(DemixError):
-    """A numerical routine broke down (e.g. loss of positive curvature)."""
-
-
-class SchemaError(DemixError):
-    """A table is missing columns required by the requested output."""
+    """The arithmetic broke down: a non-finite iterate or lost positive curvature."""
 
 
 class FormatError(DemixError):
-    """A file cannot be read or written, or does not follow its format."""
+    """A file cannot be read, written or parsed."""
 
 
 class UsageError(DemixError):

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .errors import ArgumentError, DemixError, SchemaError
+from .errors import ArgumentError
 from .io import write_lines
 from .models import SETTINGS, build_family, gen_instance
 from .seeding import derive_seed
@@ -62,10 +62,9 @@ class PhaseTransitionSpec:
     master_seed: int
 
     def __post_init__(self):
-        if max(self.s_values) > self.n or max(self.k_values) > self.m:
-            raise DemixError("sparsity grid exceeds model dimensions")
-        if min(self.s_values) < 0 or min(self.k_values) < 0:
-            raise ArgumentError("sparsity grid has a negative level")
+        if not (0 <= min(self.s_values) <= max(self.s_values) <= self.n
+                and 0 <= min(self.k_values) <= max(self.k_values) <= self.m):
+            raise ArgumentError(f"sparsity grid outside [0, {self.n}] x [0, {self.m}]")
         if self.setting not in SETTINGS:
             raise ArgumentError(f"unknown setting '{self.setting}'")
         if self.trials < 1:
@@ -95,10 +94,10 @@ class StabilitySpec:
             raise ArgumentError(f"eps_values must be finite and nonnegative, "
                                 f"got {tuple(self.eps_values)}")
         if tuple(self.eps_values) != tuple(sorted(self.eps_values)):
-            raise DemixError("eps_values must be sorted ascending")
+            raise ArgumentError("eps_values must be sorted ascending")
         for name in self.solvers:
             if name not in SOLVER_NAMES:
-                raise DemixError(f"unknown solver '{name}'")
+                raise ArgumentError(f"unknown solver '{name}'")
         if len(set(self.solvers)) != len(self.solvers):
             raise ArgumentError(f"a solver is named twice in {tuple(self.solvers)}")
         if self.trials < 2:
@@ -343,7 +342,7 @@ def _column_index(table, names):
     idx = {}
     for name in names:
         if name not in table.columns:
-            raise SchemaError(f"table lacks required column '{name}'")
+            raise ArgumentError(f"table lacks required column '{name}'")
         idx[name] = table.columns.index(name)
     return idx
 
@@ -375,4 +374,4 @@ def emit_plot(table, kind, path):
         _svg_line_chart(series, "noise amplitude", "mean recovery error",
                         (0.0, top), path)
     else:
-        raise SchemaError(f"unknown plot kind '{kind}'")
+        raise ArgumentError(f"unknown plot kind '{kind}'")

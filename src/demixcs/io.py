@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DemixError, FormatError
+from .errors import ArgumentError, DemixError, FormatError
 from .models import ProblemInstance, build_family, canonical_family, check_instance_spec
 
 _SUBSEEDS = ("signal", "corruption", "noise")
@@ -103,7 +103,7 @@ def save_instance(path, inst):
     """Persist an instance as header + CSV blocks for x, z, w, y."""
     model = inst.model
     if model.family == "custom":
-        raise DemixError("custom models carry no rebuild recipe; cannot persist")
+        raise ArgumentError("custom models carry no rebuild recipe; cannot persist")
     header = [("family", model.family), ("n", model.n), ("m", model.m),
               ("model_seed", model.seed), ("s", inst.s), ("k", inst.k),
               ("setting", inst.setting), ("noise_amp", _fmt(inst.noise_amp)),

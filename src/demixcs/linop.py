@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import ArgumentError, BudgetError, DimensionError, ShapeError
+from .errors import ArgumentError, BudgetError
 from .seeding import rng
 
 # Cap on rows*cols for dense materialization; the enumeration oracles only
@@ -40,7 +40,7 @@ class LinearOperator:
 
     def __init__(self, rows, cols):
         if rows <= 0 or cols <= 0:
-            raise DimensionError(f"operator dimensions must be positive, got {rows}x{cols}")
+            raise ArgumentError(f"operator dimensions must be positive, got {rows}x{cols}")
         self.rows = int(rows)
         self.cols = int(cols)
 
@@ -58,15 +58,15 @@ class LinearOperator:
         a = a.astype(np.float64 if real_in else np.complex128, copy=False)
         if a.ndim == 1:
             if a.shape[0] != dim:
-                raise DimensionError(
+                raise ArgumentError(
                     f"{self.kind}: got length {a.shape[0]}, expected {dim}")
             return fn(a[:, None])[:, 0]
         if a.ndim == 2:
             if a.shape[0] != dim:
-                raise DimensionError(
+                raise ArgumentError(
                     f"{self.kind}: got {a.shape[0]} rows, expected {dim}")
             return fn(a)
-        raise DimensionError(f"{self.kind}: expected 1-D or 2-D input, got {a.ndim}-D")
+        raise ArgumentError(f"{self.kind}: expected 1-D or 2-D input, got {a.ndim}-D")
 
     def _apply(self, x):
         raise NotImplementedError
@@ -85,7 +85,7 @@ class Dense(LinearOperator):
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2:
-            raise DimensionError("Dense expects a 2-D matrix")
+            raise ArgumentError("Dense expects a 2-D matrix")
         super().__init__(*m.shape)
         self.matrix = m
 
@@ -102,7 +102,7 @@ class Diagonal(LinearOperator):
     def __init__(self, d):
         d = np.asarray(d, dtype=np.complex128)
         if d.ndim != 1:
-            raise DimensionError(f"diagonal must be 1-D, got shape {d.shape}")
+            raise ArgumentError(f"diagonal must be 1-D, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ArgumentError("diagonal contains non-finite entries")
         super().__init__(d.shape[0], d.shape[0])
@@ -129,11 +129,11 @@ class Subsample(LinearOperator):
     def __init__(self, indices, cols):
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1 or idx.size == 0:
-            raise DimensionError("Subsample needs a nonempty 1-D index list")
+            raise ArgumentError("Subsample needs a nonempty 1-D index list")
         if np.any(np.diff(idx) <= 0):
-            raise ShapeError("Subsample indices must be strictly increasing")
+            raise ArgumentError("Subsample indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= cols:
-            raise DimensionError("Subsample index out of range")
+            raise ArgumentError("Subsample index out of range")
         super().__init__(idx.size, cols)
         self.indices = idx
 
@@ -178,7 +178,7 @@ class WalshHadamard(LinearOperator):
 
     def __init__(self, n):
         if not is_power_of_two(n):
-            raise ShapeError(f"WalshHadamard size must be a power of two, got {n}")
+            raise ArgumentError(f"WalshHadamard size must be a power of two, got {n}")
         super().__init__(n, n)
         self._scale = 1.0 / np.sqrt(n)
 
@@ -240,7 +240,7 @@ class Composed(LinearOperator):
 
     def __init__(self, outer, inner):
         if outer.cols != inner.rows:
-            raise DimensionError(
+            raise ArgumentError(
                 f"Composed: outer has {outer.cols} cols, inner has {inner.rows} rows")
         super().__init__(outer.rows, inner.cols)
         self.outer = outer
@@ -264,7 +264,7 @@ class HStacked(LinearOperator):
 
     def __init__(self, A, H):  # noqa: N803 - conventional matrix names
         if A.rows != H.rows:
-            raise DimensionError(
+            raise ArgumentError(
                 f"hstack: row counts differ ({A.rows} vs {H.rows})")
         super().__init__(A.rows, A.cols + H.cols)
         self.left = A
@@ -297,7 +297,7 @@ def chain(*ops):
     """Composed(ops[0], Composed(ops[1], ...)): ops[-1] applies first, and the
     adjoint composes in reverse."""
     if not ops:
-        raise DimensionError("chain needs at least one operator")
+        raise ArgumentError("chain needs at least one operator")
     out = ops[-1]
     for op in reversed(ops[:-1]):
         out = Composed(op, out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linop
-from .errors import ArgumentError, ShapeError, SparsityError
+from .errors import ArgumentError
 from .linop import (
     Dense,
     Diagonal,
@@ -40,7 +40,7 @@ def canonical_family(name):
     key = str(name).lower()
     key = FAMILY_ALIASES.get(key, key)
     if key not in FAMILIES:
-        raise ShapeError(f"unknown model family '{name}'")
+        raise ArgumentError(f"unknown model family '{name}'")
     return key
 
 
@@ -85,7 +85,7 @@ def golay_sequence(q):
     spectrum that bounds the coherence of modulated transforms.
     """
     if q < 1:
-        raise ShapeError("golay_sequence needs q >= 1")
+        raise ArgumentError("golay_sequence needs q >= 1")
     a = np.array([1.0])
     b = np.array([1.0])
     for _ in range(q):
@@ -103,14 +103,14 @@ def _row_subset(gen, n, m):
 
 def _require_pow2(n, what):
     if not is_power_of_two(n):
-        raise ShapeError(f"{what} must be a power of two, got {n}")
+        raise ArgumentError(f"{what} must be a power of two, got {n}")
 
 
 def _require_rows(n, m):
     """n a power of two and 1 <= m <= n."""
     _require_pow2(n, "n")
     if not 1 <= m <= n:
-        raise ShapeError(f"need 1 <= m <= n, got m={m}, n={n}")
+        raise ArgumentError(f"need 1 <= m <= n, got m={m}, n={n}")
 
 
 def _scaled_rows(n, m, omega, *ops):
@@ -203,7 +203,7 @@ def custom_model(a_matrix, h_matrix=None):
     a = Dense(a_matrix)
     h = Dense(h_matrix) if h_matrix is not None else identity(a.rows)
     if h.rows != a.rows or h.rows != h.cols:
-        raise ShapeError("H must be square with as many rows as A")
+        raise ArgumentError("H must be square with as many rows as A")
     return SensingModel(A=a, H=h, family="custom", m=a.rows, n=a.cols, seed=0)
 
 
@@ -232,9 +232,9 @@ def gen_sparse(length, s, setting, seed):
     stress-testing methods that rely on sign randomness).
     """
     if not 0 <= s <= length:
-        raise SparsityError(f"sparsity {s} outside [0, {length}]")
+        raise ArgumentError(f"sparsity {s} outside [0, {length}]")
     if setting not in SETTINGS:
-        raise ShapeError(f"unknown setting '{setting}'")
+        raise ArgumentError(f"unknown setting '{setting}'")
     v = np.zeros(length, dtype=np.complex128)
     if s == 0:
         return v
@@ -257,11 +257,11 @@ def check_instance_spec(model, s, k, setting, noise_amp):
     if not (math.isfinite(noise_amp) and noise_amp >= 0):
         raise ArgumentError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
     if not 0 <= s <= model.n:
-        raise SparsityError(f"signal sparsity {s} outside [0, {model.n}]")
+        raise ArgumentError(f"signal sparsity {s} outside [0, {model.n}]")
     if not 0 <= k <= model.m:
-        raise SparsityError(f"corruption sparsity {k} outside [0, {model.m}]")
+        raise ArgumentError(f"corruption sparsity {k} outside [0, {model.m}]")
     if setting not in SETTINGS:
-        raise ShapeError(f"unknown setting '{setting}'")
+        raise ArgumentError(f"unknown setting '{setting}'")
 
 
 def gen_instance(model, s, k, setting, noise_amp, seed):

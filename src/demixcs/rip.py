@@ -21,10 +21,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ArgumentError, BudgetError, DimensionError
+from .errors import ArgumentError, BudgetError
 from .linop import materialize
 
-ENUM_BUDGET = 10 ** 6
+ENUM_BUDGET = 10 ** 6  # cap on the support pairs one search enumerates
 
 # Supports whose deviation is within this slack of the maximum count as
 # ties; the lexicographically smallest is reported.
@@ -69,15 +69,15 @@ def _combo_array(n, r):
     return np.array(list(combinations(range(n), r)), dtype=np.intp)
 
 
-def _supports(n, m, s, k, budget):
+def _supports(n, m, s, k):
     """Signal and corruption supports in lexicographic order, once checked."""
     if not (0 <= s <= n and 0 <= k <= m):
-        raise DimensionError(
+        raise ArgumentError(
             f"sparsity (s, k) = ({s}, {k}) outside [0, {n}] x [0, {m}]")
     count = math.comb(n, s) * math.comb(m, k)
-    if count > budget:
+    if count > ENUM_BUDGET:
         raise BudgetError(
-            f"{count} support pairs exceed the enumeration budget of {budget}")
+            f"{count} support pairs exceed the enumeration budget of {ENUM_BUDGET}")
     return _combo_array(n, s), _combo_array(m, k)
 
 
@@ -150,7 +150,7 @@ def _pair_bounds(gram, sig_combos, cor_combos, n, e, d):
     return (ub.T if swap else ub).ravel()
 
 
-def _support_search(gram, n, s, k, budget):
+def _support_search(gram, n, s, k):
     """Largest pair deviation over (S, K) supports of the Gram's two blocks.
 
     Columns below n form the signal block, the rest the corruption
@@ -159,7 +159,7 @@ def _support_search(gram, n, s, k, budget):
     the tie tolerance, can be the maximum or a tie witness, and only
     they are solved, in lexicographic order.
     """
-    sig, cor = _supports(n, gram.shape[0] - n, s, k, budget)
+    sig, cor = _supports(n, gram.shape[0] - n, s, k)
     e = _pair_deviations(gram, sig, _NO_SUPPORT, n)[0]
     d = _pair_deviations(gram, _NO_SUPPORT, cor, n)[0]
     ub = _pair_bounds(gram, sig, cor, n, e, d)
@@ -183,7 +183,7 @@ def _support_search(gram, n, s, k, budget):
 def _as_dense(a):
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
-        raise DimensionError("expected a dense 2-D matrix")
+        raise ArgumentError("expected a dense 2-D matrix")
     if not np.isfinite(m).all():
         raise ArgumentError("matrix entries must be finite")
     return m
@@ -194,12 +194,12 @@ def _joint_gram(a_matrix, h_matrix):
     a = _as_dense(a_matrix)
     h = _as_dense(h_matrix)
     if h.shape[0] != a.shape[0] or h.shape[0] != h.shape[1]:
-        raise DimensionError("H must be square with as many rows as A")
+        raise ArgumentError("H must be square with as many rows as A")
     theta = np.concatenate([a, h], axis=1)
     return theta.conj().T @ theta, a.shape[1]
 
 
-def exact_skrip(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
+def exact_skrip(a_matrix, h_matrix, s, k):
     """Exact joint isometry constant of [A, H] over (s, k)-sparse pairs.
 
     Over every signal support S (|S| = s) and corruption support K
@@ -212,16 +212,16 @@ def exact_skrip(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
     reported as the witness.
     """
     gram, n = _joint_gram(a_matrix, h_matrix)
-    return _support_search(gram, n, s, k, budget)
+    return _support_search(gram, n, s, k)
 
 
-def exact_rip(a_matrix, s, budget=ENUM_BUDGET):
+def exact_rip(a_matrix, s):
     """Exact standard restricted isometry constant: the joint search at k = 0."""
     a = _as_dense(a_matrix)
-    return _support_search(a.conj().T @ a, a.shape[1], s, 0, budget)
+    return _support_search(a.conj().T @ a, a.shape[1], s, 0)
 
 
-def rip_split(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
+def rip_split(a_matrix, h_matrix, s, k):
     """Two-part upper bound on the joint constant: (delta1, delta2).
 
     delta1 is the standard isometry constant of A at sparsity s; delta2
@@ -234,8 +234,8 @@ def rip_split(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
     gram, n = _joint_gram(a_matrix, h_matrix)
     gram[:n, :n] = np.eye(n)
     gram[n:, n:] = np.eye(gram.shape[0] - n)
-    delta2 = _support_search(gram, n, s, k, budget).delta
-    return exact_rip(a_matrix, s, budget).delta, delta2
+    delta2 = _support_search(gram, n, s, k).delta
+    return exact_rip(a_matrix, s).delta, delta2
 
 
 def recovery_threshold(s, k, lambda_reg):
@@ -245,17 +245,16 @@ def recovery_threshold(s, k, lambda_reg):
     threshold is 1/sqrt(1 + (1/(2 sqrt 2) + sqrt(eta))^2), strictly
     decreasing in eta with eta >= 2 always.
     """
-    if s < 1 or k < 1 or lambda_reg <= 0:
-        raise DimensionError("need s, k >= 1 and lambda_reg > 0")
-    if not math.isfinite(lambda_reg):
-        raise ArgumentError(f"lambda_reg must be finite, got {lambda_reg}")
+    if s < 1 or k < 1 or not 0 < lambda_reg < math.inf:
+        raise ArgumentError(f"need s, k >= 1 and a finite lambda_reg > 0, "
+                            f"got s={s}, k={k}, lambda_reg={lambda_reg}")
     lk = lambda_reg ** 2 * k
     eta = (s + lk) / min(s, lk)
     threshold = 1.0 / math.sqrt(1.0 + (1.0 / (2.0 * math.sqrt(2.0)) + math.sqrt(eta)) ** 2)
     return ThresholdReport(eta=float(eta), threshold=float(threshold))
 
 
-def certify_uniqueness(model, s, k, lambda_reg, budget=ENUM_BUDGET):
+def certify_uniqueness(model, s, k, lambda_reg):
     """Certificate that every (s, k)-sparse pair is exactly recoverable.
 
     Materializes the model, computes the exact joint constant at doubled
@@ -268,7 +267,7 @@ def certify_uniqueness(model, s, k, lambda_reg, budget=ENUM_BUDGET):
     base = recovery_threshold(s, k, lambda_reg)
     a = materialize(model.A)
     h = materialize(model.H)
-    report = exact_skrip(a, h, 2 * s, 2 * k, budget)
+    report = exact_skrip(a, h, 2 * s, 2 * k)
     return ThresholdReport(
         eta=base.eta,
         threshold=base.threshold,
@@ -345,14 +344,14 @@ def sample_bound_subsampled(s, k, n, mu_g, delta):
     )
 
 
-def skrip_support_extremes(a_matrix, h_matrix, s, k, budget=ENUM_BUDGET):
+def skrip_support_extremes(a_matrix, h_matrix, s, k):
     """Per-support extreme eigenvalues, for heat maps.
 
     Yields (signal_support, corruption_support, eig_min, eig_max) in
     lexicographic order.  Every pair is solved, unlike in `exact_skrip`.
     """
     gram, n = _joint_gram(a_matrix, h_matrix)
-    sig, cor = _supports(n, gram.shape[0] - n, s, k, budget)
+    sig, cor = _supports(n, gram.shape[0] - n, s, k)
     _, emin, emax = _pair_deviations(gram, sig, cor, n)
     n_cor = cor.shape[0]
     for t in range(emin.size):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, NumericalError
+from .errors import ArgumentError, NumericalError
 from .linop import hstack, power_iteration
 
 _TINY = 1e-300
@@ -43,6 +43,7 @@ _SUCCESS_TOL = 1e-3  # check_success's bound on the summed relative errors
 # PDLP's adaptive step: after step k, eta becomes
 # min((1 - (k+1)^-_STEP_SHRINK_EXP) eta_bar, (1 + (k+1)^-_STEP_GROW_EXP) eta)
 _STEP_SHRINK_EXP, _STEP_GROW_EXP = 0.3, 0.6
+_FINITE_EVERY = 64  # _run_batch checks the live iterates every this many steps
 
 
 def _require_finite(cfg):
@@ -134,6 +135,13 @@ def _col_dot(a, b):
     return _col_sum(np.real(np.conj(a) * b))
 
 
+def _require_finite_columns(u):
+    """Raise NumericalError if a column of `u` holds a non-finite entry."""
+    bad = ~np.all(np.isfinite(u), axis=0)
+    if bad.any():
+        raise NumericalError(f"{bad.sum()} of {bad.size} columns reached a non-finite iterate")
+
+
 def _run_batch(state, step, max_iter, done=None):
     """The freeze-and-compact loop shared by PDHG, IRLS and its CG solves.
 
@@ -141,9 +149,10 @@ def _run_batch(state, step, max_iter, done=None):
     `step(it, state)` returns the next state with a mask of the columns
     that finished on iteration `it`.  Finished columns are dropped, so
     later steps run on the rest only; `done` marks columns finished
-    before the first step, with count 0.  Returns each column's final
-    iterate (the first state array), its iteration count and whether it
-    finished.
+    before the first step, with count 0.  Every _FINITE_EVERY steps the
+    live columns' iterates must be finite, or NumericalError stops the
+    run.  Returns each column's final iterate (the first state array),
+    its iteration count and whether it finished.
     """
     total = state[0].shape[-1]
     out = np.zeros_like(state[0])
@@ -154,6 +163,8 @@ def _run_batch(state, step, max_iter, done=None):
     for it in range(max_iter + 1):
         if it:
             state, done = step(it, state)
+            if it % _FINITE_EVERY == 0:
+                _require_finite_columns(state[0])
         if done.any():
             cols = alive[done]
             out[..., cols] = state[0][..., done]
@@ -248,7 +259,7 @@ def _batchify(model, y):
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] != model.m:
-        raise DimensionError(f"observation must have length {model.m}")
+        raise ArgumentError(f"observation must have length {model.m}")
     if not np.all(np.isfinite(arr)):
         raise ArgumentError("observation contains non-finite entries")
     return arr
@@ -267,10 +278,7 @@ def _results(model, theta, y_mat, u, iters, ok, objective, traces=None):
     A non-finite entry in `u` raises NumericalError rather than return a
     NaN estimate.
     """
-    bad = ~np.all(np.isfinite(u), axis=0)
-    if bad.any():
-        raise NumericalError(f"{bad.sum()} of {bad.size} columns ended with a "
-                             "non-finite iterate")
+    _require_finite_columns(u)
     resid = _col_norms(y_mat - theta.apply(u))
     results = []
     for j in range(y_mat.shape[1]):
@@ -285,6 +293,11 @@ def _results(model, theta, y_mat, u, iters, ok, objective, traces=None):
     return results
 
 
+# no overflow warnings: a non-finite column raises NumericalError instead
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def solve_penalized_l1_batch(model, y, cfg):
     """Penalized-l1 recovery for a batch of observations (columns of y)."""
     y_mat = _batchify(model, y)
@@ -323,6 +336,7 @@ def solve_penalized_l1(model, y, cfg):
     return solve_penalized_l1_batch(model, y, cfg)[0]
 
 
+@_quiet
 def solve_irls_lp_batch(model, y, cfg):
     """Reweighted least squares for a batch of observations.
 

@@ -4,8 +4,6 @@ import pytest
 from demixcs import (
     ArgumentError,
     Fourier,
-    ShapeError,
-    SparsityError,
     WalshHadamard,
     build_cs_ofdm,
     build_drpe,
@@ -72,7 +70,7 @@ class TestModulatedHadamard:
         assert np.linalg.norm(model.A.apply(x) - ref @ x) <= 1e-10 * np.linalg.norm(x)
 
     def test_requires_power_of_two(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ArgumentError):
             build_modulated_hadamard(48, 16, seed=0)
 
 
@@ -101,7 +99,7 @@ class TestSubsampledHadamard:
         assert np.linalg.norm(model.A.apply(x) - ref @ x) <= 1e-10 * np.linalg.norm(x)
 
     def test_rejects_non_power_of_two_m(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ArgumentError):
             build_subsampled_hadamard(64, 24, seed=0)
 
 
@@ -217,7 +215,7 @@ class TestFamilies:
         assert canonical_family("mtx1") == "modulated-hadamard"
         assert canonical_family("mtx2") == "subsampled-hadamard"
         for name in ("nope", "custom"):
-            with pytest.raises(ShapeError, match="unknown model family"):
+            with pytest.raises(ArgumentError, match="unknown model family"):
                 canonical_family(name)
 
 
@@ -243,11 +241,11 @@ class TestGenSparse:
         assert np.all(w[np.nonzero(w)] == 1.0)
 
     def test_oversparse_raises(self):
-        with pytest.raises(SparsityError):
+        with pytest.raises(ArgumentError):
             gen_sparse(4, 5, "gaussian", 0)
 
     def test_negative_sparsity_raises(self):
-        with pytest.raises(SparsityError):
+        with pytest.raises(ArgumentError):
             gen_sparse(4, -1, "gaussian", 0)
 
 
