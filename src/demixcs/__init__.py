@@ -45,7 +45,6 @@ from .models import (  # noqa: F401
     coherence,
     custom_model,
     gen_instance,
-    gen_sparse,
     golay_sequence,
 )
 from .seeding import derive_seed  # noqa: F401

@@ -10,7 +10,6 @@ either completes every cell or raises; no cell becomes a NaN row.
 
 import csv
 import hashlib
-import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from io import StringIO
 from itertools import chain
@@ -20,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError
 from .io import write_lines
-from .models import SETTINGS, build_family, gen_instance
+from .models import build_family, check_instance_spec, gen_instance
 from .seeding import derive_seed
 from .solvers import (
     IrlsConfig,
@@ -38,8 +37,12 @@ STAB_COLUMNS = ("family", "n", "m", "s", "k", "solver", "eps_amp", "eps_ball",
 SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
-def _check_lambda(spec):
-    """A spec's solver_cfg must run with the spec's own lambda_reg."""
+def _check_common(spec, *sweeps):
+    """Each named sweep of `spec` must be non-empty, and its solver_cfg must
+    run with the spec's own lambda_reg."""
+    for name in sweeps:
+        if len(getattr(spec, name)) == 0:
+            raise ArgumentError(f"{name} is empty")
     cfg = spec.solver_cfg
     if cfg is not None and cfg.lambda_reg != spec.lambda_reg:
         raise ArgumentError(f"solver_cfg.lambda_reg {cfg.lambda_reg} "
@@ -62,14 +65,12 @@ class PhaseTransitionSpec:
     master_seed: int
 
     def __post_init__(self):
-        if not (0 <= min(self.s_values) <= max(self.s_values) <= self.n
-                and 0 <= min(self.k_values) <= max(self.k_values) <= self.m):
-            raise ArgumentError(f"sparsity grid outside [0, {self.n}] x [0, {self.m}]")
-        if self.setting not in SETTINGS:
-            raise ArgumentError(f"unknown setting '{self.setting}'")
+        _check_common(self, "s_values", "k_values")
+        for pick in (min, max):
+            check_instance_spec(self.n, self.m, pick(self.s_values), pick(self.k_values),
+                                self.setting, 0.0)
         if self.trials < 1:
             raise ArgumentError(f"trials must be at least 1, got {self.trials}")
-        _check_lambda(self)
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,9 @@ class StabilitySpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(e) and e >= 0 for e in self.eps_values):
-            raise ArgumentError(f"eps_values must be finite and nonnegative, "
-                                f"got {tuple(self.eps_values)}")
+        _check_common(self, "eps_values", "solvers")
+        for eps in self.eps_values:
+            check_instance_spec(self.n, self.m, self.s, self.k, "gaussian", eps)
         if tuple(self.eps_values) != tuple(sorted(self.eps_values)):
             raise ArgumentError("eps_values must be sorted ascending")
         for name in self.solvers:
@@ -103,7 +104,6 @@ class StabilitySpec:
         if self.trials < 2:
             raise ArgumentError("trials must be at least 2, since a spread "
                                 f"needs two samples, got {self.trials}")
-        _check_lambda(self)
 
 
 @dataclass
@@ -338,13 +338,17 @@ def _svg_line_chart(series, x_label, y_label, y_range, path):
     write_lines(path, out)
 
 
-def _column_index(table, names):
-    idx = {}
-    for name in names:
+def _series(table, key, x, y, label):
+    """One sorted (label(group), [(x, y), ...]) series per value of column
+    `key`, the groups in sorted order."""
+    for name in (key, x, y):
         if name not in table.columns:
             raise ArgumentError(f"table lacks required column '{name}'")
-        idx[name] = table.columns.index(name)
-    return idx
+    ik, ix, iy = (table.columns.index(name) for name in (key, x, y))
+    groups = {}
+    for row in table.rows:
+        groups.setdefault(row[ik], []).append((float(row[ix]), float(row[iy])))
+    return [(label(g), sorted(pts)) for g, pts in sorted(groups.items())]
 
 
 def emit_plot(table, kind, path):
@@ -354,21 +358,11 @@ def emit_plot(table, kind, path):
     kind "error_vs_eps": one series per solver.
     """
     if kind == "success_vs_s":
-        idx = _column_index(table, ("s", "k", "success_fraction"))
-        groups = {}
-        for row in table.rows:
-            groups.setdefault(row[idx["k"]], []).append(
-                (float(row[idx["s"]]), float(row[idx["success_fraction"]])))
-        series = [(f"k = {k}", sorted(pts)) for k, pts in sorted(groups.items())]
+        series = _series(table, "k", "s", "success_fraction", lambda k: f"k = {k}")
         _svg_line_chart(series, "signal sparsity s", "probability of success",
                         (0.0, 1.0), path)
     elif kind == "error_vs_eps":
-        idx = _column_index(table, ("eps_amp", "solver", "mean_error"))
-        groups = {}
-        for row in table.rows:
-            groups.setdefault(row[idx["solver"]], []).append(
-                (float(row[idx["eps_amp"]]), float(row[idx["mean_error"]])))
-        series = [(name, sorted(pts)) for name, pts in sorted(groups.items())]
+        series = _series(table, "solver", "eps_amp", "mean_error", str)
         top = max((y for _, pts in series for _, y in pts), default=1.0)
         top = top * 1.05 if top > 0 else 1.0
         _svg_line_chart(series, "noise amplitude", "mean recovery error",

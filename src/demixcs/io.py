@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DemixError, FormatError
-from .models import ProblemInstance, build_family, canonical_family, check_instance_spec
+from .models import ProblemInstance, build_family, check_instance_spec
 
 _SUBSEEDS = ("signal", "corruption", "noise")
 _INSTANCE_KEYS = ("family", "n", "m", "model_seed", "s", "k", "setting", "noise_amp", "seed",
@@ -120,8 +120,8 @@ def load_instance(path):
     one that does not parse, or holds a header entry or block this reader
     does not read, raises FormatError.  So does a block whose length is
     not n (`x_true`) or m (the others) or that holds a non-finite entry,
-    a header that `gen_instance` would refuse, and a y that differs from
-    A x + H z + w.
+    a header that `gen_instance` would refuse or that names a model that
+    cannot be built, and a y that differs from A x + H z + w.
     """
     header, blocks = read_record(path)
     for key in header:
@@ -131,7 +131,7 @@ def load_instance(path):
         if name not in _INSTANCE_BLOCKS:
             raise FormatError(f"instance file '{path}' holds unknown block '[{name}]'")
     try:
-        family = canonical_family(header["family"])
+        family = header["family"]
         n = int(header["n"])
         m = int(header["m"])
         model_seed = int(header["model_seed"])
@@ -154,9 +154,9 @@ def load_instance(path):
         if not np.all(np.isfinite(vec)):
             raise FormatError(f"instance file '{path}' block '[{name}]' holds a "
                               "non-finite entry")
-    model = build_family(family, n, m, model_seed)
     try:
-        check_instance_spec(model, meta["s"], meta["k"], meta["setting"], meta["noise_amp"])
+        check_instance_spec(n, m, meta["s"], meta["k"], meta["setting"], meta["noise_amp"])
+        model = build_family(family, n, m, model_seed)
     except DemixError as exc:
         raise FormatError(f"instance file '{path}': {exc}") from None
     inst = ProblemInstance(

@@ -86,6 +86,8 @@ class Dense(LinearOperator):
         m = np.asarray(matrix, dtype=np.complex128)
         if m.ndim != 2:
             raise ArgumentError("Dense expects a 2-D matrix")
+        if not np.all(np.isfinite(m)):
+            raise ArgumentError("matrix entries must be finite")
         super().__init__(*m.shape)
         self.matrix = m
 

@@ -224,17 +224,13 @@ def build_family(family, n, m, seed):
     return _BUILDERS[canonical_family(family)](n, m, seed)
 
 
-def gen_sparse(length, s, setting, seed):
+def _sparse(length, s, setting, seed):
     """Sparse vector with a uniformly random support of size s.
 
     Gaussian setting: nonzeros are i.i.d. real standard normals.
     Flat setting: every nonzero equals exactly 1 (constant sign, for
     stress-testing methods that rely on sign randomness).
     """
-    if not 0 <= s <= length:
-        raise ArgumentError(f"sparsity {s} outside [0, {length}]")
-    if setting not in SETTINGS:
-        raise ArgumentError(f"unknown setting '{setting}'")
     v = np.zeros(length, dtype=np.complex128)
     if s == 0:
         return v
@@ -247,19 +243,24 @@ def gen_sparse(length, s, setting, seed):
     return v
 
 
-def check_instance_spec(model, s, k, setting, noise_amp):
-    """Refuse a draw on `model` that `gen_instance` cannot make.
+def check_sparsity(n, m, s, k):
+    """Refuse a signal sparsity outside [0, n] or a corruption sparsity outside [0, m]."""
+    if not 0 <= s <= n:
+        raise ArgumentError(f"signal sparsity {s} outside [0, {n}]")
+    if not 0 <= k <= m:
+        raise ArgumentError(f"corruption sparsity {k} outside [0, {m}]")
 
-    Sparsities must lie in [0, n] and [0, m], the setting must be known,
-    and the noise amplitude finite and nonnegative.  Loading an instance
-    file applies the same rule to its header.
+
+def check_instance_spec(n, m, s, k, setting, noise_amp):
+    """Refuse a draw on an m x n model that `gen_instance` cannot make.
+
+    Sparsities must pass `check_sparsity`, the setting must be known,
+    and the noise amplitude finite and nonnegative.  The sweep specs and
+    the instance-file reader apply the same rule.
     """
     if not (math.isfinite(noise_amp) and noise_amp >= 0):
         raise ArgumentError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
-    if not 0 <= s <= model.n:
-        raise ArgumentError(f"signal sparsity {s} outside [0, {model.n}]")
-    if not 0 <= k <= model.m:
-        raise ArgumentError(f"corruption sparsity {k} outside [0, {model.m}]")
+    check_sparsity(n, m, s, k)
     if setting not in SETTINGS:
         raise ArgumentError(f"unknown setting '{setting}'")
 
@@ -272,14 +273,14 @@ def gen_instance(model, s, k, setting, noise_amp, seed):
     noise are derived from `seed` so the draw is reproducible
     componentwise.
     """
-    check_instance_spec(model, s, k, setting, noise_amp)
+    check_instance_spec(model.n, model.m, s, k, setting, noise_amp)
     sub = {
         "signal": derive_seed(seed, (1,)),
         "corruption": derive_seed(seed, (2,)),
         "noise": derive_seed(seed, (3,)),
     }
-    x = gen_sparse(model.n, s, setting, sub["signal"])
-    z = gen_sparse(model.m, k, setting, sub["corruption"])
+    x = _sparse(model.n, s, setting, sub["signal"])
+    z = _sparse(model.m, k, setting, sub["corruption"])
     if noise_amp == 0:
         w = np.zeros(model.m, dtype=np.complex128)
     else:

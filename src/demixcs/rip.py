@@ -22,7 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, BudgetError
-from .linop import materialize
+from .linop import Dense, materialize
+from .models import check_sparsity, custom_model
 
 ENUM_BUDGET = 10 ** 6  # cap on the support pairs one search enumerates
 
@@ -71,9 +72,7 @@ def _combo_array(n, r):
 
 def _supports(n, m, s, k):
     """Signal and corruption supports in lexicographic order, once checked."""
-    if not (0 <= s <= n and 0 <= k <= m):
-        raise ArgumentError(
-            f"sparsity (s, k) = ({s}, {k}) outside [0, {n}] x [0, {m}]")
+    check_sparsity(n, m, s, k)
     count = math.comb(n, s) * math.comb(m, k)
     if count > ENUM_BUDGET:
         raise BudgetError(
@@ -180,23 +179,11 @@ def _support_search(gram, n, s, k):
     )
 
 
-def _as_dense(a):
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ArgumentError("expected a dense 2-D matrix")
-    if not np.isfinite(m).all():
-        raise ArgumentError("matrix entries must be finite")
-    return m
-
-
 def _joint_gram(a_matrix, h_matrix):
     """Gram of [A, H] and the column count n of A."""
-    a = _as_dense(a_matrix)
-    h = _as_dense(h_matrix)
-    if h.shape[0] != a.shape[0] or h.shape[0] != h.shape[1]:
-        raise ArgumentError("H must be square with as many rows as A")
-    theta = np.concatenate([a, h], axis=1)
-    return theta.conj().T @ theta, a.shape[1]
+    model = custom_model(a_matrix, h_matrix)
+    theta = np.concatenate([model.A.matrix, model.H.matrix], axis=1)
+    return theta.conj().T @ theta, model.n
 
 
 def exact_skrip(a_matrix, h_matrix, s, k):
@@ -217,7 +204,7 @@ def exact_skrip(a_matrix, h_matrix, s, k):
 
 def exact_rip(a_matrix, s):
     """Exact standard restricted isometry constant: the joint search at k = 0."""
-    a = _as_dense(a_matrix)
+    a = Dense(a_matrix).matrix
     return _support_search(a.conj().T @ a, a.shape[1], s, 0)
 
 

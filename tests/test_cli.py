@@ -336,9 +336,10 @@ class TestDispatch:
         assert err.count("\n") == 1 and "BudgetError" in err
 
 
-def one_line_error(capsys, name):
+def one_line_error(capsys, *names):
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and name in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert all(name in err for name in names)
 
 
 class TestInputFailures:
@@ -378,9 +379,13 @@ class TestInputFailures:
         ("s = 1\n", "s = 99\n", r"signal sparsity 99 outside \[0, 32\]"),
         ("noise_amp = 0.0\n", "noise_amp = -1.0\n", "noise_amp must be finite"),
         ("setting = gaussian\n", "setting = bogus\n", "unknown setting 'bogus'"),
+        # headers naming a model that cannot be built
+        ("family = modulated-hadamard\n", "family = subsampled-hadamard\n",
+         "m must be a power of two, got 12"),
+        ("family = modulated-hadamard\n", "family = nope\n", "unknown model family 'nope'"),
     ])
     def test_header_line_the_reader_refuses(self, tmp_path, capsys, old, new, name):
-        model = build_cs_ofdm(32, 16, seed=5)
+        model = build_family("mtx1", 32, 12, seed=5)
         path = tmp_path / "inst.txt"
         save_instance(path, gen_instance(model, 1, 1, "gaussian", 0.0, seed=9))
         path.write_text(path.read_text().replace(old, new, 1))
@@ -388,7 +393,7 @@ class TestInputFailures:
             load_instance(path)
         out = tmp_path / "out"
         assert main(self.SOLVE + ["--instance", str(path), "--out", str(out)]) == 1
-        one_line_error(capsys, "FormatError")
+        one_line_error(capsys, "FormatError", f"'{path}'")
         assert not out.exists()
 
     def test_truncated_vector_block(self, tmp_path):
@@ -569,9 +574,9 @@ class TestInputFailures:
         (GEN + ["--s", "1", "--k", "1", "--eps", "inf"], "noise_amp"),
         (GEN + ["--s", "1", "--k", "1", "--eps", "-0.1"], "noise_amp"),
         (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "0,nan", "--trials", "2"],
-         "eps_values"),
+         "noise_amp"),
         (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "-0.1,0", "--trials", "2"],
-         "eps_values"),
+         "noise_amp"),
         (STAB + ["--s", "-1", "--k", "1"], "sparsity"),
         (RIP + ["--s", "-1", "--k", "1"], "s=-1"),
         (GEN + ["--s", "1", "--k", "1", "--setting", "weird"], "weird"),

@@ -258,7 +258,7 @@ class TestStability:
 
     @pytest.mark.parametrize("eps", [(0.0, float("nan")), (0.0, float("inf")), (-0.1, 0.0)])
     def test_eps_values_must_be_finite_and_nonnegative(self, eps):
-        with pytest.raises(ArgumentError, match="eps_values"):
+        with pytest.raises(ArgumentError, match="noise_amp"):
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                           eps_values=eps, trials=2, master_seed=0)
 
@@ -293,6 +293,15 @@ def test_spec_digest_ignores_fields_at_their_defaults():
     assert _spec_digest(replace(stab, irls_cfg=_grown(stab.irls_cfg, 0))) == _spec_digest(stab)
     for changed in (replace(stab, master_seed=1), replace(stab, irls_cfg=IrlsConfig())):
         assert _spec_digest(changed) != _spec_digest(stab)
+
+
+@pytest.mark.parametrize("name", ["s_values", "k_values", "eps_values", "solvers"])
+def test_empty_sweep_rejected(name):
+    stab = StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                         eps_values=(0.0,), trials=2)
+    spec = stab if hasattr(stab, name) else tiny_pt_spec()
+    with pytest.raises(ArgumentError, match=f"{name} is empty"):
+        replace(spec, **{name: ()})
 
 
 def test_specs_reject_a_solver_cfg_with_another_lambda():

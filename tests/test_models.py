@@ -13,13 +13,12 @@ from demixcs import (
     build_subsampled_hadamard,
     coherence,
     gen_instance,
-    gen_sparse,
     golay_sequence,
     identity,
     materialize,
 )
 from demixcs.linop import Diagonal, Scaled, Subsample, chain
-from demixcs.models import FAMILIES, canonical_family
+from demixcs.models import FAMILIES, _sparse, canonical_family
 from demixcs.rip import exact_rip
 
 from conftest import dense_dft, dense_hadamard, random_complex
@@ -221,32 +220,24 @@ class TestFamilies:
 
 class TestGenSparse:
     def test_zero_sparsity(self):
-        assert np.array_equal(gen_sparse(8, 0, "gaussian", 1), np.zeros(8))
+        assert np.array_equal(_sparse(8, 0, "gaussian", 1), np.zeros(8))
 
     def test_full_flat_is_all_ones(self):
-        assert np.array_equal(gen_sparse(5, 5, "flat", 2), np.ones(5))
+        assert np.array_equal(_sparse(5, 5, "flat", 2), np.ones(5))
 
     def test_seeded_reproducibility_is_bitwise(self):
-        a = gen_sparse(64, 7, "gaussian", 123)
-        b = gen_sparse(64, 7, "gaussian", 123)
+        a = _sparse(64, 7, "gaussian", 123)
+        b = _sparse(64, 7, "gaussian", 123)
         assert np.array_equal(a, b)
-        c = gen_sparse(64, 7, "gaussian", 124)
+        c = _sparse(64, 7, "gaussian", 124)
         assert not np.array_equal(a, c)
 
     def test_support_size(self):
-        v = gen_sparse(50, 9, "gaussian", 3)
+        v = _sparse(50, 9, "gaussian", 3)
         assert np.count_nonzero(v) == 9
-        w = gen_sparse(50, 9, "flat", 3)
+        w = _sparse(50, 9, "flat", 3)
         assert np.count_nonzero(w) == 9
         assert np.all(w[np.nonzero(w)] == 1.0)
-
-    def test_oversparse_raises(self):
-        with pytest.raises(ArgumentError):
-            gen_sparse(4, 5, "gaussian", 0)
-
-    def test_negative_sparsity_raises(self):
-        with pytest.raises(ArgumentError):
-            gen_sparse(4, -1, "gaussian", 0)
 
 
 class TestGenInstance:

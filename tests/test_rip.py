@@ -207,8 +207,10 @@ class TestRipInputs:
     def test_non_finite_matrix(self, bad):
         a = HADAMARD2.copy()
         a[0, 1] = bad
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match="matrix entries must be finite"):
             exact_skrip(a, np.eye(2), 1, 1)
+        with pytest.raises(ArgumentError, match="matrix entries must be finite"):
+            custom_model(a, np.eye(2))
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_non_finite_lambda(self, lam):
