@@ -5,28 +5,27 @@ subcommand takes its own set of flags, and some flags are read only for
 one value of `--solver` or `--theorem`; `demixcs --help` prints the
 tables, which `_FLAGS` and `_CHOICES` below hold.
 
-Stability's `--solver` is a comma list and defaults to both solvers.
-Every subcommand also takes `--config file` and `--out dir`.  The config
-file holds `key = value` lines, each key at most once, and explicit
-flags override them.  A flag or config key that the subcommand, or the
-chosen value, does not read is a usage error.  An omitted flag takes
-the library's default.  Every run writes a `run_manifest.txt` with the
-flags given, the seed and the version, so outputs are attributable and
+`parse_args` converts each value once.  `pt`'s `--s` and `--k` and
+stability's `--eps` take a sweep (a comma list or a range); stability's
+`--solver` is a comma list and defaults to both solvers.  Every
+subcommand also takes `--out dir`.  A flag that the subcommand, or the
+chosen value, does not read is a usage error.  An omitted flag takes the
+library's default.  Every run writes a `run_manifest.txt` with each flag
+as given, the seed and the version, so outputs are attributable and
 byte-identical when rerun.
 
 Exit codes: 0 success, 1 computational error (also an invalid sweep spec,
 an unreadable instance file or an unwritable output path), 2 usage error.
 """
 
+import math
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, io, rip
-from .errors import DemixError, FormatError, UsageError
+from .errors import DemixError, UsageError
 from .linop import materialize
 from .models import build_family, canonical_family, coherence, gen_instance
 from .experiments import (
@@ -57,7 +56,7 @@ _FLAGS = {
     "rip": (("family", "n", "m", "s", "k"), ("lambda", "support-csv", "seed")),
     "bounds": (("theorem", "s", "k", "delta"), ()),
 }
-_COMMON = ("config", "out")
+_COMMON = ("out",)
 
 # subcommand -> (choosing flag, {value: (required flags, optional flags)}):
 # the flags read only for some values of the choosing flag.  The first
@@ -72,13 +71,16 @@ _CHOICES = {
 }
 SUBCOMMANDS = tuple(_FLAGS)
 
-# numeric flags; every other value stays text for its subcommand to read
+# numeric flags, each one value; every other value stays text
 _PARSERS = {
-    "n": int, "m": int, "trials": int, "seed": int, "threads": int,
-    "theorem": int, "ntilde": int, "max-iter": int,
-    "lambda": float, "p": float, "nu": float, "mu-b": float, "mu-g": float,
+    "n": int, "m": int, "s": int, "k": int, "trials": int, "seed": int, "threads": int,
+    "ntilde": int, "max-iter": int,
+    "lambda": float, "eps": float, "p": float, "nu": float, "mu-b": float, "mu-g": float,
     "delta": float, "tol": float,
 }
+
+# the most values a range may give, so a sweep is refused before it is built
+_MAX_SWEEP = 10**6
 
 # the one default the library leaves to its callers
 _LAMBDA = 1.0
@@ -90,44 +92,57 @@ class CliConfig:
     params: dict
     seed: int
     output_dir: Path
+    given: dict  # each flag's text as given, except --seed, --out and --threads
+
+
+def _range(text, flag, count, value):
+    """value(0), ..., value(count - 1); a count outside 1.._MAX_SWEEP is refused."""
+    if not 1 <= count <= _MAX_SWEEP:
+        raise UsageError(f"{flag} range '{text}' must give 1 to {_MAX_SWEEP} values")
+    return tuple(value(i) for i in range(count))
 
 
 def parse_int_list(text, flag):
     """Sweep syntax: 'a,b,c' or inclusive range 'a:b'."""
-    text = str(text)
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        return tuple(int(p) for p in text.split(","))
+        if ":" not in text:
+            return tuple(int(p) for p in text.split(","))
+        lo, hi = (int(p) for p in text.split(":"))
     except ValueError:
         raise UsageError(f"cannot parse {flag} value '{text}'") from None
+    return _range(text, flag, hi - lo + 1, lambda i: lo + i)
 
 
 def parse_float_list(text, flag):
     """Sweep syntax: 'a,b,c' or 'start:stop:step' (inclusive, rounded)."""
-    text = str(text)
     try:
-        if ":" in text:
-            lo, hi, step = (float(p) for p in text.split(":"))
-            count = int(round((hi - lo) / step)) + 1
-            if count < 1:
-                raise ValueError
-            return tuple(round(lo + i * step, 12) for i in range(count))
-        return tuple(float(p) for p in text.split(","))
+        if ":" not in text:
+            return tuple(float(p) for p in text.split(","))
+        lo, hi, step = (float(p) for p in text.split(":"))
+        span = (hi - lo) / step
+        if not all(map(math.isfinite, (lo, hi, step, span))):
+            raise ValueError
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse {flag} value '{text}'") from None
+    return _range(text, flag, round(span) + 1, lambda i: round(lo + i * step, 12))
 
 
-def _single_int(text, flag, convert=int):
+# subcommand -> {flag: parser} for the flags that take a list there
+_LIST_PARSERS = {
+    "pt": {"s": parse_int_list, "k": parse_int_list},
+    "stability": {"eps": parse_float_list, "solver": lambda text, flag: tuple(text.split(","))},
+}
+
+
+def _parse(sub, name, text):
+    """The typed value of one flag of subcommand `sub`."""
+    parse_list = _LIST_PARSERS.get(sub, {}).get(name)
+    if parse_list:
+        return parse_list(text, f"--{name}")
     try:
-        return convert(text)
+        return _PARSERS.get(name, str)(text)
     except ValueError:
-        kind = "integer" if convert is int else "number"
-        raise UsageError(f"'--{flag}' takes one {kind} here, got '{text}'") from None
+        raise UsageError(f"bad value for '--{name}': '{text}'") from None
 
 
 def parse_args(argv):
@@ -160,30 +175,12 @@ def parse_args(argv):
         raw[name] = argv[i + 1]
         i += 2
 
-    if "config" in raw:
-        try:
-            values, blocks = io.read_record(raw.pop("config"))
-        except FormatError as exc:
-            raise UsageError(f"config file: {exc}") from None
-        if blocks:
-            raise UsageError(f"config file holds a block '[{next(iter(blocks))}]'")
-        for key, val in values.items():
-            if key == "config" or key not in accepted:
-                raise UsageError(f"config file key '{key}' is not a flag of '{sub}'")
-            raw.setdefault(key, val)
-
     for name in required:
         if name not in raw:
             raise UsageError(f"missing required flag '--{name}' for '{sub}'")
+    params = {name: _parse(sub, name, text) for name, text in raw.items()}
     if rows:
-        _check_choice(sub, raw)
-
-    params = {}
-    for name, val in raw.items():
-        try:
-            params[name] = _PARSERS.get(name, str)(val)
-        except ValueError:
-            raise UsageError(f"bad value for '--{name}': '{val}'") from None
+        _check_choice(sub, params)
 
     seed = params.pop("seed", 0)
     out = Path(params.pop("out", "."))
@@ -194,7 +191,8 @@ def parse_args(argv):
     if threads > 1:
         print(f"note: --threads {threads} has no effect; sweeps run serially",
               file=sys.stderr)
-    return CliConfig(subcommand=sub, params=params, seed=seed, output_dir=out)
+    return CliConfig(subcommand=sub, params=params, seed=seed, output_dir=out,
+                     given={name: raw[name] for name in params})
 
 
 def _row_flags(rows):
@@ -202,25 +200,25 @@ def _row_flags(rows):
     return {name for required, optional in rows.values() for name in required + optional}
 
 
-def _check_choice(sub, raw):
+def _check_choice(sub, params):
     """Refuse the flags that the chosen values do not read; require theirs."""
     choice, rows = _CHOICES[sub]
     if sub == "stability":
-        values = raw[choice].split(",") if choice in raw else list(rows)
+        values = params.get(choice, tuple(rows))
     else:
-        values = [raw.get(choice, next(iter(rows)))]
+        values = (params.get(choice, next(iter(rows))),)
     for value in values:
         if value not in rows:
             raise UsageError(f"'--{choice}' must be one of {', '.join(rows)}, got '{value}'")
     chosen = {value: rows[value] for value in values}
     label = f"'{sub} --{choice} {','.join(values)}'"
     refused = _row_flags(rows) - _row_flags(chosen)
-    for name in raw:
+    for name in params:
         if name in refused:
             raise UsageError(f"{label} takes no flag '--{name}'")
     for required, _ in chosen.values():
         for name in required:
-            if name not in raw:
+            if name not in params:
                 raise UsageError(f"missing required flag '--{name}' for {label}")
 
 
@@ -240,7 +238,7 @@ def _usage():
             lines.append(f"  {sub} --{choice} {value} also reads {_flag_list(*row)}")
     lines += [
         "every subcommand takes " + " and ".join(f"--{name}" for name in _COMMON)
-        + "; any other flag, or config file key, is a usage error",
+        + "; any other flag is a usage error",
         "sweeps: --s 1:100 (range) or --s 1,2,5 (list); --eps 0:0.1:0.01",
         "sweeps run serially; --threads N is accepted for compatibility only",
     ]
@@ -268,7 +266,7 @@ def _emit(cfg, *files, extra=None):
     run leaves none behind.
     """
     header = [("subcommand", cfg.subcommand), ("seed", cfg.seed), ("version", __version__)]
-    for entries in (cfg.params, extra or {}):
+    for entries in (cfg.given, extra or {}):
         header += sorted(entries.items())
     written = []
     try:
@@ -291,17 +289,14 @@ def _cmd_model(cfg):
     print(f"coherence(A) = {coherence(model.A):.6g}")
     print(f"coherence(H) = {coherence(model.H):.6g}")
     _emit(cfg)
-    return 0
 
 
 def _cmd_gen(cfg):
     p = cfg.params
-    s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
-    noise_amp = _single_int(p.get("eps", "0"), "eps", float)
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    inst = gen_instance(model, s, k, p.get("setting", "gaussian"), noise_amp, cfg.seed)
+    inst = gen_instance(model, p["s"], p["k"], p.get("setting", "gaussian"),
+                        p.get("eps", 0.0), cfg.seed)
     _emit(cfg, (cfg.output_dir / "instance.txt", lambda path: io.save_instance(path, inst)))
-    return 0
 
 
 def _cmd_solve(cfg):
@@ -309,14 +304,12 @@ def _cmd_solve(cfg):
     if p.get("solver") == "irls_lp":
         solve, solver_cfg = solve_irls_lp, _irls_config(p)
     else:
-        eps = {"epsilon": _single_int(p["eps"], "eps", float)} if "eps" in p else {}
-        solve, solver_cfg = solve_penalized_l1, _l1_config(p, **eps)
+        solve, solver_cfg = solve_penalized_l1, _l1_config(p, **_given(p, epsilon="eps"))
     inst = io.load_instance(p["instance"])
     result = solve(inst.model, inst.y, solver_cfg)
     print(f"status={result.status} iterations={result.iterations} "
           f"residual={result.residual:.6g} objective={result.objective:.6g}")
     _emit(cfg, (cfg.output_dir / "result.txt", lambda path: io.save_result(path, result)))
-    return 0
 
 
 def _cmd_pt(cfg):
@@ -324,41 +317,34 @@ def _cmd_pt(cfg):
     solver_cfg = _l1_config(p)
     spec = PhaseTransitionSpec(
         family=canonical_family(p["family"]), n=p["n"], m=p["m"],
-        s_values=parse_int_list(p["s"], "--s"),
-        k_values=parse_int_list(p["k"], "--k"),
-        trials=p["trials"], setting=p.get("setting", "gaussian"),
+        s_values=p["s"], k_values=p["k"], trials=p["trials"],
+        setting=p.get("setting", "gaussian"),
         lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
         master_seed=cfg.seed)
     table = run_phase_transition(spec)
     out = cfg.output_dir
     _emit(cfg, (out / "phase_transition.csv", lambda path: emit_csv(table, path)),
           (out / "phase_transition.svg", lambda path: emit_plot(table, "success_vs_s", path)))
-    return 0
 
 
 def _cmd_stability(cfg):
     p = cfg.params
     solver_cfg = _l1_config(p)
-    solvers = {"solvers": tuple(p["solver"].split(","))} if "solver" in p else {}
     spec = StabilitySpec(
         family=canonical_family(p["family"]), n=p["n"], m=p["m"],
-        s=_single_int(p["s"], "s"), k=_single_int(p["k"], "k"),
-        eps_values=parse_float_list(p["eps"], "--eps"),
-        trials=p["trials"], irls_cfg=_irls_config(p),
-        lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
-        master_seed=cfg.seed, **solvers)
+        s=p["s"], k=p["k"], eps_values=p["eps"], trials=p["trials"],
+        irls_cfg=_irls_config(p), lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
+        master_seed=cfg.seed, **_given(p, solvers="solver"))
     table = run_stability(spec)
     out = cfg.output_dir
     _emit(cfg, (out / "stability.csv", lambda path: emit_csv(table, path)),
           (out / "stability.svg", lambda path: emit_plot(table, "error_vs_eps", path)))
-    return 0
 
 
 def _cmd_rip(cfg):
     p = cfg.params
-    s, k = _single_int(p["s"], "s"), _single_int(p["k"], "k")
     model = build_family(p["family"], p["n"], p["m"], cfg.seed)
-    cert = rip.certify_uniqueness(model, s, k, p.get("lambda", _LAMBDA))
+    cert = rip.certify_uniqueness(model, p["s"], p["k"], p.get("lambda", _LAMBDA))
     print(f"delta_2s2k = {cert.delta_2s2k:.6g}")
     print(f"eta = {cert.eta:.6g}")
     print(f"threshold = {cert.threshold:.6g}")
@@ -371,19 +357,17 @@ def _cmd_rip(cfg):
         columns = ("signal_support", "corruption_support", "eig_min", "eig_max")
         table = ResultTable(columns=columns, provenance={}, rows=[
             (" ".join(map(str, sig)), " ".join(map(str, cor)), emin, emax)
-            for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * s, 2 * k)])
+            for sig, cor, emin, emax in rip.skrip_support_extremes(a, h, 2 * p["s"], 2 * p["k"])])
         files.append((Path(p["support-csv"]), lambda path: emit_csv(table, path)))
     _emit(cfg, *files, extra={"delta_2s2k": "%.17g" % cert.delta_2s2k,
                               "satisfied": str(cert.satisfied).lower()})
-    return 0
 
 
 def _cmd_bounds(cfg):
     p = cfg.params
-    s, k, delta = _single_int(p["s"], "s"), _single_int(p["k"], "k"), p["delta"]
-    if p["theorem"] == 2:
-        m_sig, m_cor = rip.sample_bound_modulated_frame(
-            s, k, p["ntilde"], p["mu-b"], delta)
+    s, k, delta = p["s"], p["k"], p["delta"]
+    if p["theorem"] == "2":
+        m_sig, m_cor = rip.sample_bound_modulated_frame(s, k, p["ntilde"], p["mu-b"], delta)
         print(f"m_signal >= {m_sig:.6g}")
         print(f"m_corruption >= {m_cor:.6g}")
     else:
@@ -393,7 +377,6 @@ def _cmd_bounds(cfg):
         print(f"m_corruption >= {rec.m_corruption:.6g}")
         print(f"m_upper <= {rec.m_upper:.6g}")
     _emit(cfg)
-    return 0
 
 
 _DISPATCH = {
@@ -417,17 +400,14 @@ def main(argv=None):
         return 2
     started = time.perf_counter()
     try:
-        code = _DISPATCH[cfg.subcommand](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        _DISPATCH[cfg.subcommand](cfg)
     except DemixError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     # wall time goes to the log stream, not the manifest, so reruns stay
     # byte-identical
     print(f"wall_time_s = {time.perf_counter() - started:.2f}", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Text persistence: the package's one text writer and record codec.
 
-Every `key = value` file (instance, solve result, run manifest, CLI
-config) is a record: a flat header of `key = value` lines followed by
-labelled `[name]` blocks of rows, read by `read_record` and written by
+Every `key = value` file (instance, solve result, run manifest) is a
+record: a flat header of `key = value` lines followed by labelled
+`[name]` blocks of rows, read by `read_record` and written by
 `write_record`.  Vectors serialize as two-column CSV rows (re, im), one
 row per entry, using shortest round-trip float representations so a
 load reproduces the stored values bit for bit.  An instance's model is

@@ -28,8 +28,10 @@ class TestParseArgs:
         assert cfg.subcommand == "pt"
         assert cfg.params["family"] == "mtx1"
         assert cfg.params["n"] == 512
-        assert parse_int_list(cfg.params["s"], "--s") == tuple(range(1, 101))
-        assert parse_int_list(cfg.params["k"], "--k") == (10, 20, 30)
+        assert cfg.params["s"] == tuple(range(1, 101))
+        assert cfg.params["k"] == (10, 20, 30)
+        assert cfg.params["lambda"] == 1.0
+        assert cfg.given["lambda"] == "1"
         assert cfg.seed == 7
 
     def test_missing_required_flag_names_it(self):
@@ -45,21 +47,22 @@ class TestParseArgs:
         assert got == (0.0, 0.05, 0.1)
         assert parse_float_list("0,0.25", "--eps") == (0.0, 0.25)
 
-    @pytest.mark.parametrize("text", ["0:0.1:0", "0:0.1:-0.05", "0:0.1:nan"])
+    # a range that cannot be built is refused before any value is built
+    @pytest.mark.parametrize("text", ["0:0.1:0", "0:0.1:-0.05", "0:0.1:nan", "0:inf:1",
+                                      "0:1:inf", "nan:1:0.5", "-1e308:1e308:1e-300",
+                                      "0:1:1e-12"])
     def test_float_sweep_without_values_rejected(self, text):
         with pytest.raises(UsageError, match="--eps"):
             parse_float_list(text, "--eps")
 
+    @pytest.mark.parametrize("text", ["3:2", "1:2:3", "1:", "1:1000000000000"])
+    def test_int_range_without_values_rejected(self, text):
+        with pytest.raises(UsageError, match="--s"):
+            parse_int_list(text, "--s")
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError, match="--bogus"):
             parse_args(["pt", "--bogus", "1"])
-
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("family = mtx1\nn = 64\nm = 32\ns = 1\nk = 1\ntrials = 2\n")
-        cfg = parse_args(["pt", "--config", str(cfg_file), "--n", "128"])
-        assert cfg.params["n"] == 128   # explicit flag wins
-        assert cfg.params["m"] == 32    # file value survives
 
     def test_usage_error_exit_code(self, capsys):
         code = main(["pt", "--family", "mtx1"])
@@ -81,21 +84,13 @@ class TestFlagTable:
         (["solve", "--instance", "absent.txt", "--lambda", "1", "--seed", "1"], "--seed"),
         (["gen", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
           "--lambda", "2"], "--lambda"),
+        (["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
+          "--trials", "2", "--config", "run.cfg"], "--config"),
     ])
     def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, args, flag):
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 2
         one_line_error(capsys, flag)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key", ["eps", "config"])
-    def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys, key):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("family = mtx1\nn = 32\nm = 16\ns = 1\nk = 1\ntrials = 2\n"
-                            f"{key} = 0.1\n")
-        out = tmp_path / "out"
-        assert main(["pt", "--config", str(cfg_file), "--out", str(out)]) == 2
-        one_line_error(capsys, f"'{key}'")
         assert not out.exists()
 
     SOLVE = ["solve", "--instance", "absent.txt"]
@@ -129,14 +124,6 @@ class TestFlagTable:
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 2
         one_line_error(capsys, flag)
-        assert not out.exists()
-
-    def test_chosen_value_refuses_a_config_key(self, tmp_path, capsys):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("solver = irls_lp\neps = 0.3\n")
-        out = tmp_path / "out"
-        assert main(self.SOLVE + ["--config", str(cfg_file), "--out", str(out)]) == 2
-        one_line_error(capsys, "--eps")
         assert not out.exists()
 
     def test_flag_given_twice(self, tmp_path, capsys):
@@ -177,6 +164,8 @@ class TestFlagTable:
         accepted |= {name for _, rows in cli._CHOICES.values()
                      for required, optional in rows.values() for name in required + optional}
         assert set(cli._PARSERS) <= accepted
+        for sub, parsers in cli._LIST_PARSERS.items():
+            assert set(parsers) <= set(sum(cli._FLAGS[sub], ()))
         assert cli.SUBCOMMANDS == tuple(cli._FLAGS)
         usage = cli._usage()
         for sub, (required, optional) in cli._FLAGS.items():
@@ -198,35 +187,6 @@ class TestFlagTable:
                 assert not set(flags) & set(sum(cli._FLAGS[sub], ()) + cli._COMMON)
 
 
-class TestConfigFile:
-    """A config file the record reader refuses is a usage error."""
-
-    PT = ["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1", "--k", "1",
-          "--trials", "2"]
-
-    @pytest.mark.parametrize("text, name", [
-        (None, "cannot read"),
-        ("n = 32\nm 16\n", "line 2"),
-        ("n = 32\n[extra]\nm = 16\n", "[extra]"),
-        ("seed = 1\nseed = 2\n", "'seed' given twice"),
-    ])
-    def test_refused_config_file(self, tmp_path, capsys, text, name):
-        cfg_file = tmp_path / "run.cfg"
-        if text is not None:
-            cfg_file.write_text(text)
-        out = tmp_path / "out"
-        assert main(self.PT + ["--config", str(cfg_file), "--out", str(out)]) == 2
-        one_line_error(capsys, name)
-        assert not out.exists()
-
-    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("# desk run\n\nn = 32\n  m = 16  \n")
-        cfg = parse_args(["pt", "--family", "mtx1", "--s", "1", "--k", "1", "--trials", "2",
-                          "--config", str(cfg_file)])
-        assert (cfg.params["n"], cfg.params["m"]) == (32, 16)
-
-
 class TestVectorAndInstanceFiles:
     def test_instance_round_trip_bitwise(self, tmp_path):
         model = build_cs_ofdm(32, 16, seed=5)
@@ -240,6 +200,18 @@ class TestVectorAndInstanceFiles:
         assert np.array_equal(back.w, inst.w)
         assert back.s == inst.s and back.k == inst.k
         assert back.sub_seeds == inst.sub_seeds
+
+    def test_comments_blank_and_indented_lines_are_skipped(self, tmp_path):
+        inst = gen_instance(build_family("mtx1", 32, 16, seed=5), 2, 1, "gaussian", 0.05,
+                            seed=9)
+        path = tmp_path / "inst.txt"
+        save_instance(path, inst)
+        text = path.read_text()
+        assert "\nn = 32\n" in text
+        path.write_text(text.replace("\nn = 32\n", "\n\n# desk run\n  n = 32  \n\n", 1))
+        back = load_instance(path)
+        for name in ("x_true", "z_true", "w", "y"):
+            assert np.array_equal(getattr(back, name), getattr(inst, name))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_round_trip_bitwise(self, tmp_path, family):
@@ -263,6 +235,14 @@ class TestDispatch:
         assert "threshold = 0.492366" in out
         assert "satisfied = true" in out
         assert (tmp_path / "run_manifest.txt").exists()
+
+    def test_manifest_records_each_flag_as_given(self, tmp_path, capsys):
+        assert main(["pt", "--family", "mtx1", "--n", "32", "--m", "16", "--s", "1:3",
+                     "--k", "1", "--trials", "2", "--lambda", "1", "--threads", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "run_manifest.txt").read_text().splitlines() == [
+            "subcommand = pt", "seed = 0", f"version = {cli.__version__}", "family = mtx1",
+            "k = 1", "lambda = 1", "m = 16", "n = 32", "s = 1:3", "trials = 2"]
 
     def test_rip_support_csv_lists_every_support_pair(self, tmp_path, capsys):
         path = tmp_path / "supports.csv"

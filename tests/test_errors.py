@@ -71,3 +71,23 @@ def test_out_of_range_sparsity_reads_the_same_everywhere(tmp_path, entry, s, k, 
     with pytest.raises(kind) as info:
         _DRAW_ENTRIES[entry](tmp_path, s, k)
     assert str(info.value) == prefix + message
+
+
+def test_usage_errors_come_only_from_parse_args():
+    """No command raises or catches UsageError; `main` catches it once, around
+    `parse_args`."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [name for name in functions if name.startswith("_cmd_")]
+    assert len(commands) == 7
+    for name in commands:
+        assert not [node for node in ast.walk(functions[name])
+                    if isinstance(node, ast.Name) and node.id == "UsageError"], name
+    handlers = [node for node in ast.walk(functions["main"])
+                if isinstance(node, ast.ExceptHandler)
+                and isinstance(node.type, ast.Name) and node.type.id == "UsageError"]
+    assert len(handlers) == 1
+    (guarded,) = [node for node in ast.walk(functions["main"])
+                  if isinstance(node, ast.Try) and handlers[0] in node.handlers]
+    assert "parse_args" in {node.func.id for stmt in guarded.body for node in ast.walk(stmt)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
