@@ -38,11 +38,14 @@ SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
 def _check_common(spec, *sweeps):
-    """Each named sweep of `spec` must be non-empty, and its solver_cfg must
-    run with the spec's own lambda_reg."""
+    """Each named sweep of `spec` must be non-empty and name no value twice,
+    and its solver_cfg must run with the spec's own lambda_reg."""
     for name in sweeps:
-        if len(getattr(spec, name)) == 0:
+        values = tuple(getattr(spec, name))
+        if not values:
             raise ArgumentError(f"{name} is empty")
+        if len(set(values)) != len(values):
+            raise ArgumentError(f"{name} names a value twice: {values}")
     cfg = spec.solver_cfg
     if cfg is not None and cfg.lambda_reg != spec.lambda_reg:
         raise ArgumentError(f"solver_cfg.lambda_reg {cfg.lambda_reg} "
@@ -99,8 +102,6 @@ class StabilitySpec:
         for name in self.solvers:
             if name not in SOLVER_NAMES:
                 raise ArgumentError(f"unknown solver '{name}'")
-        if len(set(self.solvers)) != len(self.solvers):
-            raise ArgumentError(f"a solver is named twice in {tuple(self.solvers)}")
         if self.trials < 2:
             raise ArgumentError("trials must be at least 2, since a spread "
                                 f"needs two samples, got {self.trials}")

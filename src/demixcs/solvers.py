@@ -75,7 +75,13 @@ class PenalizedL1Config:
 
 @dataclass(frozen=True)
 class IrlsConfig:
-    """Knobs for the reweighted-least-squares solver (0 < p < 1)."""
+    """Knobs for the reweighted-least-squares solver (0 < p < 1).
+
+    `cg_tol` is the relative residual that the conjugate-gradient solves
+    reach once the smoothing eps is at its floor, and that the closing
+    refinement solve reaches; a pass at a larger eps stops sooner (see
+    `solve_irls_lp_batch`).
+    """
 
     p: float = 0.5
     nu: float = 1.0
@@ -182,9 +188,10 @@ def _cg_batch(apply_fn, b, x0, tol, max_iter, *data):
     """Conjugate gradient on a Hermitian PSD operator, per-column stopping.
 
     `apply_fn(v, *data)` applies the operator; `data` holds per-column
-    arrays that compact with the batch.  Columns stop once
-    ||r|| <= tol * ||b|| and freeze in `_run_batch`, those already there
-    on entry included.  A nonpositive curvature raises NumericalError.
+    arrays that compact with the batch.  `tol` is a scalar or one value
+    per column.  Columns stop once ||r|| <= tol * ||b|| and freeze in
+    `_run_batch`, those already there on entry included.  A nonpositive
+    curvature raises NumericalError.
     """
     r = b - apply_fn(x0, *data)
     rs = _col_sqnorm(r)
@@ -293,8 +300,9 @@ def _results(model, theta, y_mat, u, iters, ok, objective, traces=None):
     return results
 
 
-# no overflow warnings: a non-finite column raises NumericalError instead
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# no overflow or division warnings: a non-finite column raises
+# NumericalError instead
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_quiet
@@ -336,6 +344,13 @@ def solve_penalized_l1(model, y, cfg):
     return solve_penalized_l1_batch(model, y, cfg)[0]
 
 
+def _cg_target(cg_tol, eps_k):
+    """Relative CG residual for a reweighting pass at smoothing `eps_k`:
+    cg_tol * sqrt(eps_k / _EPS_FLOOR), capped at sqrt(cg_tol) so that it
+    stays below 1 for cg_tol < 1, and exactly cg_tol at the floor."""
+    return np.minimum(cg_tol * np.sqrt(eps_k / _EPS_FLOOR), math.sqrt(cg_tol))
+
+
 @_quiet
 def solve_irls_lp_batch(model, y, cfg):
     """Reweighted least squares for a batch of observations.
@@ -345,9 +360,13 @@ def solve_irls_lp_batch(model, y, cfg):
     the weights are (|u_i|^2 + eps^2)^(p/2 - 1) and the corruption block
     carries the extra factor nu.  The smoothing eps shrinks whenever the
     iterate stagnates relative to sqrt(eps)/100, floored at _EPS_FLOOR.
-    A final refinement solve (T W^-1 T*) d = y - T u, at the returned
-    iterate's weights and final eps, returns u + W^-1 T* d, so T u meets
-    y to about cg_tol^2 rather than cg_tol.
+    A pass at smoothing eps solves only to the relative residual
+    min(cg_tol * sqrt(eps / _EPS_FLOOR), sqrt(cg_tol)), since its weights
+    hold only to eps (inexact inner solves: Fornasier, Peter, Rauhut and
+    Worm, Comput. Optim. Appl. 2016); at the floor that is cg_tol.  A
+    final refinement solve (T W^-1 T*) d = y - T u to cg_tol, at the
+    returned iterate's weights and final eps, returns u + W^-1 T* d, so
+    T u meets y to about cg_tol^2 rather than cg_tol.
     """
     y_mat = _batchify(model, y)
     theta = hstack(model.A, model.H)
@@ -361,16 +380,16 @@ def solve_irls_lp_batch(model, y, cfg):
         w[model.n:] *= cfg.nu
         return 1.0 / w
 
-    def solve_weighted(b, q0, inv_w):
+    def solve_weighted(b, q0, inv_w, tol):
         """q with (T W^-1 T*) q = b by conjugate gradient, from q0."""
         q, _ = _cg_batch(lambda v, iw: theta.apply(iw * theta.apply_adjoint(v)),
-                         b, q0, cfg.cg_tol, cfg.cg_max, inv_w)
+                         b, q0, tol, cfg.cg_max, inv_w)
         return q
 
     def iterate(outer, state):
         u, q, eps_k, cols, y_a = state
         inv_w = inverse_weights(u, eps_k)
-        q = solve_weighted(y_a, q, inv_w)
+        q = solve_weighted(y_a, q, inv_w, _cg_target(cfg.cg_tol, eps_k))
         u_new = inv_w * theta.apply_adjoint(q)
         rel = _col_norms(u_new - u) / np.maximum(_col_norms(u_new), _TINY)
         shrink = rel < np.sqrt(eps_k) / 100.0
@@ -384,7 +403,7 @@ def solve_irls_lp_batch(model, y, cfg):
     u, iters, ok = _run_batch(state, iterate, cfg.outer_max)
     # refinement: move u onto {T u = y} along the final weighted metric
     inv_w = inverse_weights(u, eps_hist[iters - 1, np.arange(total)])
-    d = solve_weighted(y_a - theta.apply(u), np.zeros_like(y_a), inv_w)
+    d = solve_weighted(y_a - theta.apply(u), np.zeros_like(y_a), inv_w, cfg.cg_tol)
     u = u + inv_w * theta.apply_adjoint(d)
     return _results(model, theta, y_mat, u, iters, ok, lambda x, z: float(
         np.sum(np.abs(x) ** cfg.p) + cfg.nu * np.sum(np.abs(z) ** cfg.p)), eps_hist)

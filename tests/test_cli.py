@@ -567,6 +567,9 @@ class TestInputFailures:
         (["model", "--family", "nope", "--n", "32", "--m", "16"], "nope"),
         (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "0.1,0", "--trials", "2"],
          "sorted"),
+        (PT + ["--s", "2,2", "--k", "1"], "s_values names a value twice"),
+        (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "0,0", "--trials", "2"],
+         "eps_values names a value twice"),
     ])
     def test_invalid_value_fails_before_running(self, tmp_path, capsys, args, name):
         out = tmp_path / "out"

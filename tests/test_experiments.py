@@ -304,6 +304,18 @@ def test_empty_sweep_rejected(name):
         replace(spec, **{name: ()})
 
 
+@pytest.mark.parametrize("name, values", [("s_values", (2, 1, 2)), ("k_values", (1, 1)),
+                                          ("eps_values", (0.0, 0.0)), ("eps_values", (-0.0, 0.0))])
+def test_repeated_sweep_value_rejected(name, values):
+    # a repeated value would run its cell twice, on other draws, and write
+    # two rows under one key; a repeated solver is test_solver_named_twice_rejected
+    stab = StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                         eps_values=(0.0,), trials=2)
+    spec = stab if hasattr(stab, name) else tiny_pt_spec()
+    with pytest.raises(ArgumentError, match=f"{name} names a value twice"):
+        replace(spec, **{name: values})
+
+
 def test_specs_reject_a_solver_cfg_with_another_lambda():
     with pytest.raises(ArgumentError, match="lambda_reg"):
         tiny_pt_spec(lambda_reg=2.0)

@@ -22,9 +22,12 @@ from demixcs.rip import certify_uniqueness
 from demixcs.seeding import derive_seed
 from demixcs.solvers import (
     _EPS_FLOOR,
+    _EPS_INIT,
+    _EPS_SHRINK,
     IrlsConfig,
     PenalizedL1Config,
     _cg_batch,
+    _cg_target,
     _pdhg_core,
     _shrink,
     check_success,
@@ -439,6 +442,42 @@ class TestIrls:
         assert np.array_equal(a.x_hat, b.x_hat)
         assert a.eps_trace == b.eps_trace
 
+    @pytest.mark.parametrize("cg_tol", [0.5, 1e-3, 1e-9, 1e-10, 1e-13])
+    def test_cg_target_is_cg_tol_at_the_floor_and_capped(self, cg_tol):
+        # every eps the smoothing schedule takes, from _EPS_INIT to the floor
+        eps = [_EPS_INIT]
+        while eps[-1] > _EPS_FLOOR:
+            eps.append(max(_EPS_FLOOR, _EPS_SHRINK * eps[-1]))
+        target = _cg_target(cg_tol, np.array(eps))
+        assert target[-1] == cg_tol
+        assert np.all(target <= math.sqrt(cg_tol))
+        assert np.all(np.diff(target) <= 0)
+
+    def test_loose_cg_tol_does_not_stop_at_the_first_pass(self):
+        # uncapped, cg_tol = 1e-3 would give the first pass a target of 10,
+        # which the zero start meets: no CG step, a zero iterate and a stop
+        model = build_partial_circulant(64, 32, seed=5)
+        inst = gen_instance(model, 1, 0, "gaussian", 0.0, seed=3)
+        r = solve_irls_lp(model, inst.y, IrlsConfig(cg_tol=1e-3))
+        assert r.iterations > 1 and r.status == "converged"
+        assert check_success(r, inst)
+
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.1])
+    def test_agrees_with_a_tight_cg_reference(self, noise_amp):
+        # each column agrees with the cg_tol = 1e-12 solve to within 10x the
+        # CG target of its last pass: 1e-8 once eps is at its floor, as at
+        # noise 0; at noise 0.1 eps stays at 1e-2, whose target is 1e-6
+        model = build_family("mtx1", 128, 64, 4)
+        y = np.stack([gen_instance(model, 3, 3, "gaussian", noise_amp, seed).y
+                      for seed in range(4)], axis=1)
+        cfg = IrlsConfig(outer_max=30, cg_tol=1e-9, cg_max=500)
+        ref = solve_irls_lp_batch(model, y, IrlsConfig(outer_max=30, cg_tol=1e-12, cg_max=500))
+        for got, want in zip(solve_irls_lp_batch(model, y, cfg), ref):
+            u = np.concatenate([got.x_hat, got.z_hat])
+            v = np.concatenate([want.x_hat, want.z_hat])
+            bound = 10.0 * _cg_target(cfg.cg_tol, got.eps_trace[-1])
+            assert np.linalg.norm(u - v) <= bound * np.linalg.norm(v)
+
     def test_config_validation(self):
         for bad in (dict(p=1.5), dict(outer_max=0),
                     dict(outer_max=-3), dict(cg_max=0), dict(cg_tol=0.0),
@@ -467,7 +506,8 @@ class TestNonFiniteIterate:
     @pytest.mark.parametrize("solve, scale, cfg", [
         (solve_penalized_l1_batch, 1.0, PenalizedL1Config(lambda_reg=1e160)),
         (solve_irls_lp_batch, 1e150, IrlsConfig()),
-    ], ids=["pdhg-lambda-1e160", "irls-y-times-1e150"])
+        (solve_penalized_l1_batch, 1e200, PenalizedL1Config(lambda_reg=1.0)),
+    ], ids=["pdhg-lambda-1e160", "irls-y-times-1e150", "pdhg-y-times-1e200"])
     def test_raises_numerical_error(self, solve, scale, cfg, monkeypatch):
         from demixcs import solvers
 
