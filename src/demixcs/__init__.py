@@ -19,13 +19,12 @@ from .errors import (  # noqa: F401
     UsageError,
 )
 from .linop import (  # noqa: F401
-    Composed,
+    Chain,
     Dense,
     Diagonal,
     Fourier,
     HStacked,
     LinearOperator,
-    Scaled,
     Subsample,
     WalshHadamard,
     hstack,

@@ -7,6 +7,10 @@ call is bitwise reproducible.  Operators are immutable after
 construction and safe to share between threads; all scratch state is
 per call.
 
+Two composites build on the leaf operators: `Chain`, every product of
+operators with an optional scalar, and `HStacked`, the block [A, H].
+Each calls its parts' `_apply`, so a public call converts dtypes once.
+
 Dtype rule: an operator whose `real` attribute is true (every entry is
 real) maps real input (bool, integer or float) to float64; every other
 input, and every input to an operator that is not real, is computed and
@@ -14,6 +18,8 @@ returned in complex128.  The float64 result equals the real part of the
 complex128 one, and that result's imaginary part is zero.
 """
 
+import cmath
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -32,6 +38,13 @@ def is_power_of_two(n):
     return n > 0 and (n & (n - 1)) == 0
 
 
+def check_sizes(what, *values):
+    """Refuse a size that is not a positive integer; numpy integers pass, bools do not."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+            raise ArgumentError(f"{what} must be positive integers, got {value!r}")
+
+
 class LinearOperator:
     """Base class: a rows x cols linear map with forward/adjoint action."""
 
@@ -39,10 +52,8 @@ class LinearOperator:
     real = False  # true when every entry is real; see the module docstring
 
     def __init__(self, rows, cols):
-        if rows <= 0 or cols <= 0:
-            raise ArgumentError(f"operator dimensions must be positive, got {rows}x{cols}")
-        self.rows = int(rows)
-        self.cols = int(cols)
+        check_sizes(f"{self.kind} dimensions", rows, cols)
+        self.rows, self.cols = int(rows), int(cols)
 
     def apply(self, x):
         """Forward action on a vector of length cols (or a (cols, T) batch)."""
@@ -129,15 +140,15 @@ class Subsample(LinearOperator):
     real = True
 
     def __init__(self, indices, cols):
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ArgumentError("Subsample needs a nonempty 1-D index list")
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+            raise ArgumentError("Subsample needs a nonempty 1-D list of integers")
         if np.any(np.diff(idx) <= 0):
             raise ArgumentError("Subsample indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= cols:
             raise ArgumentError("Subsample index out of range")
         super().__init__(idx.size, cols)
-        self.indices = idx
+        self.indices = idx.astype(np.intp)
 
     def _apply(self, x):
         return x[self.indices]
@@ -179,9 +190,9 @@ class WalshHadamard(LinearOperator):
     real = True
 
     def __init__(self, n):
+        super().__init__(n, n)
         if not is_power_of_two(n):
             raise ArgumentError(f"WalshHadamard size must be a power of two, got {n}")
-        super().__init__(n, n)
         self._scale = 1.0 / np.sqrt(n)
 
     def _apply(self, x):
@@ -214,49 +225,47 @@ class Fourier(LinearOperator):
         return f"{self.kind}{star} {self.rows}x{self.cols}"
 
 
-class Scaled(LinearOperator):
-    kind = "Scaled"
+class Chain(LinearOperator):
+    """scale * ops[0] ... ops[-1]: ops[-1] applies first, the adjoint takes the
+    factors' adjoints in reverse order, and a given scale (its conjugate in
+    the adjoint) multiplies last, even a scale of 1."""
 
-    def __init__(self, alpha, op):
-        super().__init__(op.rows, op.cols)
-        self.alpha = complex(alpha)
-        self.op = op
-        self.real = self.alpha.imag == 0 and op.real
+    kind = "Chain"
 
-    def _factor(self, x):
-        return self.alpha.real if x.dtype == np.float64 else self.alpha
-
-    def _apply(self, x):
-        return self._factor(x) * self.op._apply(x)
-
-    def _apply_adjoint(self, u):
-        return np.conj(self._factor(u)) * self.op._apply_adjoint(u)
-
-    def describe(self):
-        factor = f"{self.alpha.real:g}" if self.alpha.imag == 0 else f"{self.alpha:g}"
-        return f"Scaled({factor}) {self.op.describe()}"
-
-
-class Composed(LinearOperator):
-    kind = "Composed"
-
-    def __init__(self, outer, inner):
-        if outer.cols != inner.rows:
-            raise ArgumentError(
-                f"Composed: outer has {outer.cols} cols, inner has {inner.rows} rows")
-        super().__init__(outer.rows, inner.cols)
-        self.outer = outer
-        self.inner = inner
-        self.real = outer.real and inner.real
+    def __init__(self, *ops, scale=None):
+        if not ops:
+            raise ArgumentError("Chain needs at least one operator")
+        for outer, inner in zip(ops, ops[1:]):
+            if outer.cols != inner.rows:
+                raise ArgumentError(f"Chain: {outer.kind} has {outer.cols} cols, "
+                                    f"{inner.kind} has {inner.rows} rows")
+        super().__init__(ops[0].rows, ops[-1].cols)
+        if scale is not None:
+            if not isinstance(scale, numbers.Number) or not cmath.isfinite(scale):
+                raise ArgumentError(f"Chain scale must be a finite number, got {scale!r}")
+            scale = complex(scale)
+            # conj(s + 0j) is s - 0j: complex input rounds the sign of a zero unlike s
+            self._adjoint_scale = scale.conjugate()
+            # a real scale is a float, so float64 input stays float64
+            scale = scale.real if scale.imag == 0 else scale
+        self.ops, self.scale = ops, scale
+        self.real = all(op.real for op in ops) and not isinstance(scale, complex)
 
     def _apply(self, x):
-        return self.outer._apply(self.inner._apply(x))
+        for op in reversed(self.ops):
+            x = op._apply(x)
+        return x if self.scale is None else self.scale * x
 
     def _apply_adjoint(self, u):
-        return self.inner._apply_adjoint(self.outer._apply_adjoint(u))
+        for op in self.ops:
+            u = op._apply_adjoint(u)
+        if self.scale is None:
+            return u
+        return (self.scale if u.dtype == np.float64 else self._adjoint_scale) * u
 
     def describe(self):
-        return f"Composed({self.outer.describe()}, {self.inner.describe()})"
+        scale = "" if self.scale is None else f"; scale={self.scale:g}"
+        return f"Chain({', '.join(op.describe() for op in self.ops)}{scale})"
 
 
 class HStacked(LinearOperator):
@@ -293,17 +302,6 @@ def identity(n):
 def hstack(A, H):  # noqa: N803
     """Stack two operators side by side; rows must agree."""
     return HStacked(A, H)
-
-
-def chain(*ops):
-    """Composed(ops[0], Composed(ops[1], ...)): ops[-1] applies first, and the
-    adjoint composes in reverse."""
-    if not ops:
-        raise ArgumentError("chain needs at least one operator")
-    out = ops[-1]
-    for op in reversed(ops[:-1]):
-        out = Composed(op, out)
-    return out
 
 
 def materialize(op):

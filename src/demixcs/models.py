@@ -15,12 +15,12 @@ import numpy as np
 from . import linop
 from .errors import ArgumentError
 from .linop import (
+    Chain,
     Dense,
     Diagonal,
     Fourier,
     Subsample,
     WalshHadamard,
-    chain,
     identity,
     is_power_of_two,
     materialize,
@@ -107,7 +107,8 @@ def _require_pow2(n, what):
 
 
 def _require_rows(n, m):
-    """n a power of two and 1 <= m <= n."""
+    """n and m positive integers, n a power of two and m <= n."""
+    linop.check_sizes("n and m", n, m)
     _require_pow2(n, "n")
     if not 1 <= m <= n:
         raise ArgumentError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -115,7 +116,7 @@ def _require_rows(n, m):
 
 def _scaled_rows(n, m, omega, *ops):
     """sqrt(n/m) R_omega ops..., m rows of an n x n chain scaled to unit column norm."""
-    return linop.Scaled(np.sqrt(n / m), chain(Subsample(omega, n), *ops))
+    return Chain(Subsample(omega, n), *ops, scale=np.sqrt(n / m))
 
 
 def build_modulated_hadamard(n, m, seed):
@@ -128,7 +129,7 @@ def build_modulated_hadamard(n, m, seed):
     _require_rows(n, m)
     omega = _row_subset(rng(seed, 0), n, m)
     xi = _rademacher(rng(seed, 1), n)
-    a = chain(_scaled_rows(n, m, omega, WalshHadamard(n)), Diagonal(xi), WalshHadamard(n))
+    a = Chain(_scaled_rows(n, m, omega, WalshHadamard(n)), Diagonal(xi), WalshHadamard(n))
     return SensingModel(A=a, H=identity(m), family="modulated-hadamard", m=m, n=n,
                         seed=int(seed))
 

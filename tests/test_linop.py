@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis.extra.numpy import arrays
 from demixcs import (
     ArgumentError,
     BudgetError,
+    Chain,
     Dense,
     Diagonal,
     Fourier,
+    LinearOperator,
     Subsample,
     WalshHadamard,
     hstack,
@@ -19,7 +22,6 @@ from demixcs import (
     materialize,
     power_iteration,
 )
-from demixcs.linop import Scaled, chain
 from demixcs.models import build_family, build_modulated_hadamard
 
 from conftest import dense_dft, dense_hadamard, random_complex
@@ -45,11 +47,11 @@ def make_operators(gen):
     ops.append((Fourier(8, adjoint=True), dense_dft(8).conj().T))
     inner = Dense(random_complex(gen, 4, 6))
     outer = Dense(random_complex(gen, 3, 4))
-    ops.append((chain(outer, inner), outer.matrix @ inner.matrix))
+    ops.append((Chain(outer, inner), outer.matrix @ inner.matrix))
     left = Dense(random_complex(gen, 4, 3))
     right = Dense(random_complex(gen, 4, 5))
     ops.append((hstack(left, right), np.hstack([left.matrix, right.matrix])))
-    ops.append((Scaled(2.0 - 1.0j, left), (2.0 - 1.0j) * left.matrix))
+    ops.append((Chain(left, scale=2.0 - 1.0j), (2.0 - 1.0j) * left.matrix))
     return ops
 
 
@@ -138,6 +140,11 @@ class TestSubsampleAndDiagonal:
         with pytest.raises(ArgumentError):
             Subsample(np.array([3, 1]), 5)
 
+    @pytest.mark.parametrize("indices", [[0.5, 1.5], np.array([0.0, 1.0]), [True]])
+    def test_subsample_rejects_non_integer_indices(self, indices):
+        with pytest.raises(ArgumentError, match="integers"):
+            Subsample(indices, 4)
+
 
 class TestHStack:
     def test_identity_pair(self):
@@ -169,29 +176,77 @@ class TestHStack:
 class TestCompose:
     def test_scaling_by_two(self, rng):
         x = random_complex(rng, 4)
-        op = chain(Diagonal(2 * np.ones(4)), identity(4))
+        op = Chain(Diagonal(2 * np.ones(4)), identity(4))
         assert np.allclose(op.apply(x), 2 * x)
 
     def test_three_unitaries_preserve_norm(self, rng):
-        u = chain(Fourier(8), WalshHadamard(8), Fourier(8, adjoint=True))
+        u = Chain(Fourier(8), WalshHadamard(8), Fourier(8, adjoint=True))
         x = random_complex(rng, 8)
         assert abs(np.linalg.norm(u.apply(x)) - np.linalg.norm(x)) <= 1e-10
 
     def test_materialized_composition_is_row_slice(self):
-        op = chain(Subsample(np.array([0, 3, 5]), 8), WalshHadamard(8))
+        op = Chain(Subsample(np.array([0, 3, 5]), 8), WalshHadamard(8))
         full = dense_hadamard(8) / np.sqrt(8)
         assert np.abs(materialize(op) - full[[0, 3, 5]]).max() < 1e-12
 
     def test_dimension_mismatch_raises(self, rng):
         with pytest.raises(ArgumentError):
-            chain(Dense(random_complex(rng, 2, 3)), Dense(random_complex(rng, 2, 3)))
+            Chain(Dense(random_complex(rng, 2, 3)), Dense(random_complex(rng, 2, 3)))
 
     def test_materialize_compose_equals_product(self, rng):
         for _ in range(3):
             a = random_complex(rng, 4, 4)
             b = random_complex(rng, 4, 4)
-            got = materialize(chain(Dense(a), Dense(b)))
+            got = materialize(Chain(Dense(a), Dense(b)))
             assert np.abs(got - a @ b).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), complex(1.0, float("-inf")),
+                                       "2", [2.0]])
+    def test_scale_must_be_a_finite_number(self, scale):
+        with pytest.raises(ArgumentError, match="scale"):
+            Chain(WalshHadamard(4), scale=scale)
+
+    def test_bytes_equal_factors_in_turn_then_scaled(self, rng):
+        rows = Subsample(np.array([0, 2, 3, 5]), 8)
+        cases = [
+            ((rows,), 1.0),  # passes signed zeros to the scale untouched
+            ((rows, WalshHadamard(8), Diagonal(rng.standard_normal(8))), np.sqrt(2.0)),
+            ((rows, Fourier(8, adjoint=True), Diagonal(random_complex(rng, 8)), Fourier(8)),
+             2.0 - 1.0j),
+            ((WalshHadamard(8), Diagonal(rng.standard_normal(8))), None),
+        ]
+
+        def times(scale, v, adjoint):
+            # complex arithmetic unless v is float64; conj(s + 0j) is s - 0j
+            if scale is None:
+                return v
+            if v.dtype == np.float64:
+                return scale * v
+            return (complex(scale).conjugate() if adjoint else complex(scale)) * v
+
+        def probe(dim, width, complex_):
+            v = rng.standard_normal((dim, width))
+            if not complex_:
+                v[0] = -0.0
+                return v
+            v = v + 1j * rng.standard_normal((dim, width))
+            v[:, 0] = [complex(-0.0, (-1.0) ** i) for i in range(dim)]
+            return v
+
+        for ops, scale in cases:
+            op = Chain(*ops, scale=scale)
+            for width in (1, 7):
+                for complex_ in (False, True):
+                    x = probe(op.cols, width, complex_)
+                    ref = x if op.real and not complex_ else x.astype(np.complex128)
+                    for factor in reversed(ops):
+                        ref = factor.apply(ref)
+                    assert op.apply(x).tobytes() == times(scale, ref, False).tobytes()
+                    u = probe(op.rows, width, complex_)
+                    ref = u if op.real and not complex_ else u.astype(np.complex128)
+                    for factor in ops:
+                        ref = factor.apply_adjoint(ref)
+                    assert op.apply_adjoint(u).tobytes() == times(scale, ref, True).tobytes()
 
 
 class TestMaterialize:
@@ -243,6 +298,21 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             Subsample(np.array([0, 1]), 5).apply_adjoint(np.ones(5))
 
+    @pytest.mark.parametrize("build, value", [
+        (lambda: WalshHadamard(4.0), "4.0"),
+        (lambda: Fourier(2.5), "2.5"),
+        (lambda: Fourier(True), "True"),
+        (lambda: build_modulated_hadamard(32.0, 16, 0), "32.0"),
+        (lambda: build_modulated_hadamard(32, 16.5, 0), "16.5"),
+    ])
+    def test_sizes_must_be_integers(self, build, value):
+        with pytest.raises(ArgumentError, match=re.escape(value)):
+            build()
+
+    def test_numpy_integer_sizes_pass(self):
+        assert WalshHadamard(np.int64(4)).rows == 4
+        assert build_modulated_hadamard(np.int64(32), np.int32(16), 0).A.rows == 16
+
     def test_describe_is_single_line(self, rng):
         for op, _ in make_operators(rng):
             text = op.describe()
@@ -271,11 +341,11 @@ class TestRealPath:
         assert WalshHadamard(4).real
         assert Diagonal(np.array([1.0, -2.0])).real
         assert not Diagonal(np.array([1.0, 1j])).real
-        assert Scaled(2.0, WalshHadamard(4)).real
-        assert not Scaled(1j, WalshHadamard(4)).real
-        assert not Scaled(2.0, Fourier(4)).real
-        assert chain(WalshHadamard(4), Diagonal(np.ones(4))).real
-        assert not chain(Fourier(4), WalshHadamard(4)).real
+        assert Chain(WalshHadamard(4), scale=2.0).real
+        assert not Chain(WalshHadamard(4), scale=1j).real
+        assert not Chain(Fourier(4), scale=2.0).real
+        assert Chain(WalshHadamard(4), Diagonal(np.ones(4))).real
+        assert not Chain(Fourier(4), WalshHadamard(4)).real
         assert not hstack(WalshHadamard(4), Fourier(4)).real
         for kind in (Dense(np.eye(3)), Fourier(4)):
             assert not kind.real
@@ -349,3 +419,20 @@ class TestAdjointProperty:
         # unit probes; every family operator has spectral norm at most
         # sqrt(n/m) + 1
         assert abs(lhs - rhs) <= 1e-12 * (np.sqrt(2.0) + 1.0)
+
+
+class TestOnePublicApply:
+    @pytest.mark.parametrize("family", sorted(REAL_PARTS))
+    def test_composites_call_their_parts_directly(self, family, rng, monkeypatch):
+        # one public call converts dtypes, and is counted, once
+        theta = family_operators(family)[2]
+        calls = []
+        for name in ("apply", "apply_adjoint"):
+            def counted(op, x, public=getattr(LinearOperator, name)):
+                calls.append(op)
+                return public(op, x)
+            monkeypatch.setattr(LinearOperator, name, counted)
+        for fn, dim in ((theta.apply, theta.cols), (theta.apply_adjoint, theta.rows)):
+            calls.clear()
+            fn(rng.standard_normal((dim, 3)))
+            assert calls == [theta]

@@ -3,6 +3,7 @@ import pytest
 
 from demixcs import (
     ArgumentError,
+    Chain,
     Fourier,
     WalshHadamard,
     build_cs_ofdm,
@@ -17,7 +18,7 @@ from demixcs import (
     identity,
     materialize,
 )
-from demixcs.linop import Diagonal, Scaled, Subsample, chain
+from demixcs.linop import Diagonal, Subsample
 from demixcs.models import FAMILIES, _sparse, canonical_family
 from demixcs.rip import exact_rip
 
@@ -45,7 +46,7 @@ class TestModulatedHadamard:
         from demixcs.models import _row_subset
         from demixcs.seeding import rng as make_rng
         omega = _row_subset(make_rng(seed, 0), n, m)
-        u = Scaled(np.sqrt(n / m), chain(Subsample(omega, n), WalshHadamard(n)))
+        u = Chain(Subsample(omega, n), WalshHadamard(n), scale=np.sqrt(n / m))
         assert coherence(u) == pytest.approx(1 / np.sqrt(m), abs=1e-15)
 
     def test_tight_frame_identity(self, rng):
@@ -134,14 +135,14 @@ class TestCsOfdm:
     def test_modulated_transform_unitary(self, rng):
         n = 64
         g = golay_sequence(6)
-        mod = chain(Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
+        mod = Chain(Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
         x = random_complex(rng, n)
         assert abs(np.linalg.norm(mod.apply(x)) - np.linalg.norm(x)) <= 1e-10
 
     def test_modulated_transform_coherence_bound(self):
         n = 64
         g = golay_sequence(6)
-        mod = chain(Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
+        mod = Chain(Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
         assert coherence(mod) <= np.sqrt(2.0 / n) + 1e-12
 
     def test_corruption_basis_coherence(self):
@@ -169,8 +170,7 @@ class TestDrpe:
 
     def test_frame_factor_is_tight(self, rng):
         n, m = 64, 16
-        u = Scaled(np.sqrt(n / m), chain(Subsample(np.arange(m), n),
-                                         Fourier(n, adjoint=True)))
+        u = Chain(Subsample(np.arange(m), n), Fourier(n, adjoint=True), scale=np.sqrt(n / m))
         v = random_complex(rng, m)
         uu = u.apply(u.apply_adjoint(v))
         assert np.linalg.norm(uu - (n / m) * v) <= 1e-10 * np.linalg.norm(v)
@@ -178,7 +178,7 @@ class TestDrpe:
     def test_hadamard_basis_coherence_bound(self):
         n = 64
         g = golay_sequence(6)
-        mod = chain(Fourier(n), Diagonal(g), WalshHadamard(n))
+        mod = Chain(Fourier(n), Diagonal(g), WalshHadamard(n))
         assert coherence(mod) <= 2.0 / np.sqrt(n) + 1e-12
 
     def test_dense_reference(self, rng):
