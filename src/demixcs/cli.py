@@ -314,12 +314,10 @@ def _cmd_solve(cfg):
 
 def _cmd_pt(cfg):
     p = cfg.params
-    solver_cfg = _l1_config(p)
     spec = PhaseTransitionSpec(
         family=canonical_family(p["family"]), n=p["n"], m=p["m"],
         s_values=p["s"], k_values=p["k"], trials=p["trials"],
-        setting=p.get("setting", "gaussian"),
-        lambda_reg=solver_cfg.lambda_reg, solver_cfg=solver_cfg,
+        setting=p.get("setting", "gaussian"), solver_cfg=_l1_config(p),
         master_seed=cfg.seed)
     table = run_phase_transition(spec)
     out = cfg.output_dir

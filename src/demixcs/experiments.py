@@ -38,18 +38,13 @@ SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
 def _check_common(spec, *sweeps):
-    """Each named sweep of `spec` must be non-empty and name no value twice,
-    and its solver_cfg must run with the spec's own lambda_reg."""
+    """Each named sweep of `spec` must be non-empty and name no value twice."""
     for name in sweeps:
         values = tuple(getattr(spec, name))
         if not values:
             raise ArgumentError(f"{name} is empty")
         if len(set(values)) != len(values):
             raise ArgumentError(f"{name} names a value twice: {values}")
-    cfg = spec.solver_cfg
-    if cfg is not None and cfg.lambda_reg != spec.lambda_reg:
-        raise ArgumentError(f"solver_cfg.lambda_reg {cfg.lambda_reg} "
-                            f"differs from lambda_reg {spec.lambda_reg}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +58,6 @@ class PhaseTransitionSpec:
     k_values: tuple
     trials: int
     setting: str
-    lambda_reg: float
     solver_cfg: PenalizedL1Config
     master_seed: int
 
@@ -95,6 +89,10 @@ class StabilitySpec:
 
     def __post_init__(self):
         _check_common(self, "eps_values", "solvers")
+        cfg = self.solver_cfg
+        if cfg is not None and cfg.lambda_reg != self.lambda_reg:
+            raise ArgumentError(f"solver_cfg.lambda_reg {cfg.lambda_reg} "
+                                f"differs from lambda_reg {self.lambda_reg}")
         for eps in self.eps_values:
             check_instance_spec(self.n, self.m, self.s, self.k, "gaussian", eps)
         if tuple(self.eps_values) != tuple(sorted(self.eps_values)):
@@ -174,7 +172,7 @@ def run_phase_transition(spec):
                            derive_seed(spec.master_seed, (0, si, ki)))
               for si, ki in cells]
     rows = [(spec.family, spec.n, spec.m, int(spec.s_values[si]),
-             int(spec.k_values[ki]), spec.setting, spec.lambda_reg, spec.trials,
+             int(spec.k_values[ki]), spec.setting, spec.solver_cfg.lambda_reg, spec.trials,
              _pt_cell(spec, model, si, ki))
             for model, (si, ki) in zip(models, cells)]
     return ResultTable(columns=PT_COLUMNS, rows=rows, provenance=_provenance(spec))
@@ -277,8 +275,6 @@ _TICKS = 5  # ticks per axis
 
 
 def _ticks(lo, hi):
-    if hi <= lo:
-        hi = lo + 1.0
     return [float(t) for t in np.linspace(lo, hi, _TICKS)]
 
 

@@ -7,7 +7,8 @@ record: a flat header of `key = value` lines followed by labelled
 row per entry, using shortest round-trip float representations so a
 load reproduces the stored values bit for bit.  An instance's model is
 rebuilt from its family, n, m and seed, which each builder turns into one
-model, reproducibly.
+model, reproducibly; its draw is fixed by its own seed, from which
+`gen_instance` derives the signal, corruption and noise sub-seeds.
 """
 
 from pathlib import Path
@@ -17,9 +18,9 @@ import numpy as np
 from .errors import ArgumentError, DemixError, FormatError
 from .models import ProblemInstance, build_family, check_instance_spec
 
-_SUBSEEDS = ("signal", "corruption", "noise")
-_INSTANCE_KEYS = ("family", "n", "m", "model_seed", "s", "k", "setting", "noise_amp", "seed",
-                  *(f"subseed_{key}" for key in _SUBSEEDS))
+# the instance header in file order: key -> parser
+_INSTANCE_HEADER = {"family": str, "n": int, "m": int, "model_seed": int, "s": int, "k": int,
+                    "setting": str, "noise_amp": float, "seed": int}
 _INSTANCE_BLOCKS = ("x_true", "z_true", "w", "y")
 
 
@@ -104,11 +105,10 @@ def save_instance(path, inst):
     model = inst.model
     if model.family == "custom":
         raise ArgumentError("custom models carry no rebuild recipe; cannot persist")
-    header = [("family", model.family), ("n", model.n), ("m", model.m),
-              ("model_seed", model.seed), ("s", inst.s), ("k", inst.k),
-              ("setting", inst.setting), ("noise_amp", _fmt(inst.noise_amp)),
-              ("seed", inst.seed)]
-    header += [(f"subseed_{key}", inst.sub_seeds[key]) for key in _SUBSEEDS]
+    values = dict(family=model.family, n=model.n, m=model.m, model_seed=model.seed,
+                  s=inst.s, k=inst.k, setting=inst.setting,
+                  noise_amp=_fmt(inst.noise_amp), seed=inst.seed)
+    header = [(key, values[key]) for key in _INSTANCE_HEADER]
     write_record(path, header, _vector_blocks(
         (name, getattr(inst, name)) for name in _INSTANCE_BLOCKS), title="# demixcs instance v1")
 
@@ -125,27 +125,19 @@ def load_instance(path):
     """
     header, blocks = read_record(path)
     for key in header:
-        if key not in _INSTANCE_KEYS:
+        if key not in _INSTANCE_HEADER:
             raise FormatError(f"instance file '{path}' holds unknown entry '{key}'")
     for name in blocks:
         if name not in _INSTANCE_BLOCKS:
             raise FormatError(f"instance file '{path}' holds unknown block '[{name}]'")
     try:
-        family = header["family"]
-        n = int(header["n"])
-        m = int(header["m"])
-        model_seed = int(header["model_seed"])
-        vecs = {name: parse_vector_lines(blocks[name])
-                for name in _INSTANCE_BLOCKS}
-        meta = dict(
-            s=int(header["s"]), k=int(header["k"]),
-            setting=header["setting"], noise_amp=float(header["noise_amp"]),
-            seed=int(header["seed"]),
-            sub_seeds={key: int(header[f"subseed_{key}"]) for key in _SUBSEEDS})
+        meta = {key: parse(header[key]) for key, parse in _INSTANCE_HEADER.items()}
+        vecs = {name: parse_vector_lines(blocks[name]) for name in _INSTANCE_BLOCKS}
     except KeyError as exc:
         raise FormatError(f"instance file '{path}' lacks entry {exc}") from None
     except ValueError as exc:
         raise FormatError(f"instance file '{path}' is malformed: {exc}") from None
+    family, n, m, model_seed = (meta.pop(key) for key in ("family", "n", "m", "model_seed"))
     for name, vec in vecs.items():
         length = n if name == "x_true" else m
         if vec.size != length:

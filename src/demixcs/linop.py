@@ -45,6 +45,22 @@ def check_sizes(what, *values):
             raise ArgumentError(f"{what} must be positive integers, got {value!r}")
 
 
+def as_complex(values, what, *ndims):
+    """`values` as a complex128 array, with no copy of complex128 input.
+    ArgumentError refuses a dtype other than bool, integer, float or complex,
+    a number of dimensions not in `ndims` and a non-finite entry."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biufc":
+        raise ArgumentError(f"{what} entries must be numbers, got dtype {a.dtype}")
+    if a.ndim not in ndims:
+        dims = " or ".join(f"{d}-D" for d in ndims)
+        raise ArgumentError(f"{what} must be {dims}, got shape {a.shape}")
+    a = a.astype(np.complex128, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise ArgumentError(f"{what} entries must be finite")
+    return a
+
+
 class LinearOperator:
     """Base class: a rows x cols linear map with forward/adjoint action."""
 
@@ -94,11 +110,7 @@ class Dense(LinearOperator):
     kind = "Dense"
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2:
-            raise ArgumentError("Dense expects a 2-D matrix")
-        if not np.all(np.isfinite(m)):
-            raise ArgumentError("matrix entries must be finite")
+        m = as_complex(matrix, "matrix", 2)
         super().__init__(*m.shape)
         self.matrix = m
 
@@ -113,11 +125,7 @@ class Diagonal(LinearOperator):
     kind = "Diagonal"
 
     def __init__(self, d):
-        d = np.asarray(d, dtype=np.complex128)
-        if d.ndim != 1:
-            raise ArgumentError(f"diagonal must be 1-D, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ArgumentError("diagonal contains non-finite entries")
+        d = as_complex(d, "diagonal", 1)
         super().__init__(d.shape[0], d.shape[0])
         self.diag = d
         self.real = not np.any(d.imag)

@@ -1,13 +1,14 @@
 """Sensing-model constructors, problem instances, and scalar diagnostics.
 
 A SensingModel bundles a measurement operator A (m x n) with a corruption
-operator H (m x m).  Observations follow y = A x + H z + w with x sparse,
-z sparse and w a small dense perturbation.  All builders are pure
-functions of their seed, so a model can be rebuilt bit-for-bit from its
-header metadata.
+operator H (m x m), and reads m and n from A.  Observations follow
+y = A x + H z + w with x sparse, z sparse and w a small dense
+perturbation.  All builders are pure functions of their seed, so a model
+can be rebuilt bit-for-bit from its header metadata.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,19 @@ def canonical_family(name):
 
 @dataclass(frozen=True)
 class SensingModel:
-    """Measurement pair (A, H) plus construction metadata."""
+    """Measurement pair (A, H) plus construction metadata.  m and n are A's
+    shape, and H must be m x m, so a model cannot disagree with its operators."""
 
     A: linop.LinearOperator
     H: linop.LinearOperator
     family: str
-    m: int
-    n: int
     seed: int
+    m = property(lambda self: self.A.rows)
+    n = property(lambda self: self.A.cols)
+
+    def __post_init__(self):
+        if self.H.rows != self.A.rows or self.H.rows != self.H.cols:
+            raise ArgumentError("H must be square with as many rows as A")
 
     def describe(self):
         return (f"{self.family} m={self.m} n={self.n} seed={self.seed} "
@@ -62,7 +68,7 @@ class SensingModel:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Ground truth, observation and the seeds that generated them."""
+    """Ground truth, observation and the settings and seed that drew them."""
 
     model: SensingModel
     x_true: np.ndarray
@@ -74,7 +80,6 @@ class ProblemInstance:
     setting: str
     noise_amp: float
     seed: int
-    sub_seeds: dict
 
 
 def golay_sequence(q):
@@ -130,8 +135,7 @@ def build_modulated_hadamard(n, m, seed):
     omega = _row_subset(rng(seed, 0), n, m)
     xi = _rademacher(rng(seed, 1), n)
     a = Chain(_scaled_rows(n, m, omega, WalshHadamard(n)), Diagonal(xi), WalshHadamard(n))
-    return SensingModel(A=a, H=identity(m), family="modulated-hadamard", m=m, n=n,
-                        seed=int(seed))
+    return SensingModel(A=a, H=identity(m), family="modulated-hadamard", seed=int(seed))
 
 
 def build_subsampled_hadamard(n, m, seed):
@@ -145,8 +149,7 @@ def build_subsampled_hadamard(n, m, seed):
     _require_pow2(m, "m")
     omega = _row_subset(rng(seed, 0), n, m)
     a = _scaled_rows(n, m, omega, WalshHadamard(n))
-    return SensingModel(A=a, H=WalshHadamard(m), family="subsampled-hadamard", m=m, n=n,
-                        seed=int(seed))
+    return SensingModel(A=a, H=WalshHadamard(m), family="subsampled-hadamard", seed=int(seed))
 
 
 def build_partial_circulant(n, m, seed):
@@ -159,8 +162,7 @@ def build_partial_circulant(n, m, seed):
     _require_rows(n, m)
     xi = _rademacher(rng(seed, 1), n)
     a = _scaled_rows(n, m, np.arange(m), Fourier(n, adjoint=True), Diagonal(xi), Fourier(n))
-    return SensingModel(A=a, H=identity(m), family="partial-circulant", m=m, n=n,
-                        seed=int(seed))
+    return SensingModel(A=a, H=identity(m), family="partial-circulant", seed=int(seed))
 
 
 def build_cs_ofdm(n, m, seed):
@@ -175,7 +177,7 @@ def build_cs_ofdm(n, m, seed):
     g = golay_sequence(q)
     omega = _row_subset(rng(seed, 0), n, m)
     a = _scaled_rows(n, m, omega, Fourier(n, adjoint=True), Diagonal(g), Fourier(n))
-    return SensingModel(A=a, H=Fourier(m), family="cs-ofdm", m=m, n=n, seed=int(seed))
+    return SensingModel(A=a, H=Fourier(m), family="cs-ofdm", seed=int(seed))
 
 
 def build_drpe(n, m, seed):
@@ -192,7 +194,7 @@ def build_drpe(n, m, seed):
     g = golay_sequence(int(np.log2(n)))
     a = _scaled_rows(n, m, np.arange(m), Fourier(n, adjoint=True), Diagonal(phases),
                      Fourier(n), Diagonal(g))
-    return SensingModel(A=a, H=identity(m), family="drpe", m=m, n=n, seed=int(seed))
+    return SensingModel(A=a, H=identity(m), family="drpe", seed=int(seed))
 
 
 def custom_model(a_matrix, h_matrix=None):
@@ -203,9 +205,7 @@ def custom_model(a_matrix, h_matrix=None):
     """
     a = Dense(a_matrix)
     h = Dense(h_matrix) if h_matrix is not None else identity(a.rows)
-    if h.rows != a.rows or h.rows != h.cols:
-        raise ArgumentError("H must be square with as many rows as A")
-    return SensingModel(A=a, H=h, family="custom", m=a.rows, n=a.cols, seed=0)
+    return SensingModel(A=a, H=h, family="custom", seed=0)
 
 
 _BUILDERS = {
@@ -245,11 +245,13 @@ def _sparse(length, s, setting, seed):
 
 
 def check_sparsity(n, m, s, k):
-    """Refuse a signal sparsity outside [0, n] or a corruption sparsity outside [0, m]."""
-    if not 0 <= s <= n:
-        raise ArgumentError(f"signal sparsity {s} outside [0, {n}]")
-    if not 0 <= k <= m:
-        raise ArgumentError(f"corruption sparsity {k} outside [0, {m}]")
+    """Refuse a signal sparsity outside [0, n] or a corruption sparsity outside
+    [0, m], or one that is not an integer; numpy integers pass, bools do not."""
+    for name, value, top in (("signal", s, n), ("corruption", k, m)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ArgumentError(f"{name} sparsity {value} is not an integer")
+        if not 0 <= value <= top:
+            raise ArgumentError(f"{name} sparsity {value} outside [0, {top}]")
 
 
 def check_instance_spec(n, m, s, k, setting, noise_amp):
@@ -270,27 +272,22 @@ def gen_instance(model, s, k, setting, noise_amp, seed):
     """Draw (x, z, w) and assemble y = A x + H z + w.
 
     The dense noise w has i.i.d. +-noise_amp entries, so
-    ||w||_2 = noise_amp * sqrt(m).  Sub-seeds for signal, corruption and
-    noise are derived from `seed` so the draw is reproducible
-    componentwise.
+    ||w||_2 = noise_amp * sqrt(m).  Signal, corruption and noise draw from
+    the sub-seeds derive_seed(seed, (1,)), (2,) and (3,), so `seed` alone,
+    which is all the instance records, reproduces each component.
     """
     check_instance_spec(model.n, model.m, s, k, setting, noise_amp)
-    sub = {
-        "signal": derive_seed(seed, (1,)),
-        "corruption": derive_seed(seed, (2,)),
-        "noise": derive_seed(seed, (3,)),
-    }
-    x = _sparse(model.n, s, setting, sub["signal"])
-    z = _sparse(model.m, k, setting, sub["corruption"])
+    x = _sparse(model.n, s, setting, derive_seed(seed, (1,)))
+    z = _sparse(model.m, k, setting, derive_seed(seed, (2,)))
     if noise_amp == 0:
         w = np.zeros(model.m, dtype=np.complex128)
     else:
-        w = (noise_amp * _rademacher(rng(sub["noise"], 0), model.m)).astype(np.complex128)
+        w = noise_amp * _rademacher(rng(derive_seed(seed, (3,)), 0), model.m)
+        w = w.astype(np.complex128)
     y = model.A.apply(x) + model.H.apply(z) + w
     return ProblemInstance(
         model=model, x_true=x, z_true=z, w=w, y=y, s=int(s), k=int(k),
-        setting=setting, noise_amp=float(noise_amp), seed=int(seed),
-        sub_seeds=sub)
+        setting=setting, noise_amp=float(noise_amp), seed=int(seed))
 
 
 def coherence(op):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .linop import hstack, power_iteration
+from .linop import as_complex, check_sizes, hstack, power_iteration
 
 _TINY = 1e-300
 # IRLS smoothing schedule: eps starts at _EPS_INIT and shrinks by
@@ -69,8 +69,9 @@ class PenalizedL1Config:
             raise ArgumentError("lambda_reg must be positive")
         if self.epsilon < 0:
             raise ArgumentError("epsilon must be nonnegative")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ArgumentError("max_iter and tol must be positive")
+        check_sizes("max_iter", self.max_iter)
+        if self.tol <= 0:
+            raise ArgumentError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,9 @@ class IrlsConfig:
             raise ArgumentError("p must lie in (0, 1)")
         if self.nu <= 0:
             raise ArgumentError("nu must be positive")
-        if self.outer_max < 1 or self.cg_max < 1 or self.cg_tol <= 0:
-            raise ArgumentError("outer_max, cg_max and cg_tol must be positive")
+        check_sizes("outer_max and cg_max", self.outer_max, self.cg_max)
+        if self.cg_tol <= 0:
+            raise ArgumentError("cg_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -262,13 +264,11 @@ def _pdhg_core(theta, y, eta, omega, weights, eps, tol, max_iter):
 
 
 def _batchify(model, y):
-    arr = np.asarray(y, dtype=np.complex128)
+    arr = as_complex(y, "observation", 1, 2)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != model.m:
+    if arr.shape[0] != model.m:
         raise ArgumentError(f"observation must have length {model.m}")
-    if not np.all(np.isfinite(arr)):
-        raise ArgumentError("observation contains non-finite entries")
     return arr
 
 

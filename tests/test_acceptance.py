@@ -258,7 +258,7 @@ class TestCriterion5PhaseTransition:
             spec = PhaseTransitionSpec(
                 family="modulated-hadamard", n=512, m=256,
                 s_values=self.S_GRID, k_values=(10, 20, 30), trials=100,
-                setting=setting, lambda_reg=1.0, solver_cfg=cfg, master_seed=7)
+                setting=setting, solver_cfg=cfg, master_seed=7)
             table = run_phase_transition(spec)
             plateau, tail, order = _pt_checks(table, trials=100)
             all_ok.append((setting, plateau, tail, order))
@@ -274,7 +274,7 @@ class TestCriterion5PhaseTransition:
         spec = PhaseTransitionSpec(
             family="modulated-hadamard", n=128, m=64,
             s_values=(1, 2, 3, 4, 5, 20, 40, 100), k_values=(4, 8), trials=50,
-            setting="gaussian", lambda_reg=1.0, solver_cfg=cfg, master_seed=7)
+            setting="gaussian", solver_cfg=cfg, master_seed=7)
         table = run_phase_transition(spec)
         plateau, tail, order = _pt_checks(table, trials=50)
         elapsed = time.perf_counter() - t0

@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demixcs import FormatError, NumericalError, UsageError, gen_instance
+from demixcs import (
+    ArgumentError,
+    FormatError,
+    NumericalError,
+    UsageError,
+    custom_model,
+    gen_instance,
+)
 from demixcs import cli
 from demixcs.cli import main, parse_args, parse_float_list, parse_int_list
 from demixcs.experiments import parse_csv
@@ -199,7 +206,6 @@ class TestVectorAndInstanceFiles:
         assert np.array_equal(back.z_true, inst.z_true)
         assert np.array_equal(back.w, inst.w)
         assert back.s == inst.s and back.k == inst.k
-        assert back.sub_seeds == inst.sub_seeds
 
     def test_comments_blank_and_indented_lines_are_skipped(self, tmp_path):
         inst = gen_instance(build_family("mtx1", 32, 16, seed=5), 2, 1, "gaussian", 0.05,
@@ -212,6 +218,12 @@ class TestVectorAndInstanceFiles:
         back = load_instance(path)
         for name in ("x_true", "z_true", "w", "y"):
             assert np.array_equal(getattr(back, name), getattr(inst, name))
+
+    def test_custom_model_is_not_saved(self, tmp_path):
+        inst = gen_instance(custom_model(np.eye(4)), 1, 1, "gaussian", 0.0, seed=0)
+        with pytest.raises(ArgumentError, match="custom models carry no rebuild recipe"):
+            save_instance(tmp_path / "inst.txt", inst)
+        assert not (tmp_path / "inst.txt").exists()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_round_trip_bitwise(self, tmp_path, family):
@@ -363,6 +375,8 @@ class TestInputFailures:
         ("family = modulated-hadamard\n", "family = subsampled-hadamard\n",
          "m must be a power of two, got 12"),
         ("family = modulated-hadamard\n", "family = nope\n", "unknown model family 'nope'"),
+        # a changed noise row leaves the stored y off A x + H z + w
+        ("[w]\n0.0,0.0\n", "[w]\n0.5,0.0\n", r"inconsistent: \|y - \(Ax\+Hz\+w\)\| = 0\.5"),
     ])
     def test_header_line_the_reader_refuses(self, tmp_path, capsys, old, new, name):
         model = build_family("mtx1", 32, 12, seed=5)

@@ -48,7 +48,7 @@ _DRAW_ENTRIES = {
         build_family("mtx1", 32, 16, 0), s, k, "gaussian", 0.0, 0),
     "PhaseTransitionSpec": lambda tmp_path, s, k: PhaseTransitionSpec(
         family="mtx1", n=32, m=16, s_values=(s,), k_values=(k,), trials=1,
-        setting="gaussian", lambda_reg=1.0, solver_cfg=PenalizedL1Config(lambda_reg=1.0),
+        setting="gaussian", solver_cfg=PenalizedL1Config(lambda_reg=1.0),
         master_seed=0),
     "StabilitySpec": lambda tmp_path, s, k: StabilitySpec(
         family="mtx1", n=32, m=16, s=s, k=k, eps_values=(0.0,), trials=2),
@@ -63,11 +63,15 @@ _DRAW_ENTRIES = {
     (33, 1, "signal sparsity 33 outside [0, 32]"),
     (1, -1, "corruption sparsity -1 outside [0, 16]"),
     (1, 17, "corruption sparsity 17 outside [0, 16]"),
-], ids=["s-negative", "s-above-n", "k-negative", "k-above-m"])
+    (1.5, 1, "signal sparsity 1.5 is not an integer"),
+], ids=["s-negative", "s-above-n", "k-negative", "k-above-m", "s-not-integer"])
 def test_out_of_range_sparsity_reads_the_same_everywhere(tmp_path, entry, s, k, message):
     kind, prefix = ArgumentError, ""
     if entry == "load_instance":
         kind, prefix = FormatError, f"instance file '{tmp_path / 'inst.txt'}': "
+        if not isinstance(s, int):  # an instance file's s must parse as an integer first
+            prefix = prefix[:-2] + " is malformed: "
+            message = f"invalid literal for int() with base 10: '{s}'"
     with pytest.raises(kind) as info:
         _DRAW_ENTRIES[entry](tmp_path, s, k)
     assert str(info.value) == prefix + message

@@ -28,7 +28,7 @@ FAST_CFG = PenalizedL1Config(lambda_reg=1.0, epsilon=0.0, max_iter=2000, tol=1e-
 
 def tiny_pt_spec(**overrides):
     kw = dict(family="modulated-hadamard", n=32, m=16, s_values=(1, 2),
-              k_values=(1,), trials=5, setting="gaussian", lambda_reg=1.0,
+              k_values=(1,), trials=5, setting="gaussian",
               solver_cfg=FAST_CFG, master_seed=3)
     kw.update(overrides)
     return PhaseTransitionSpec(**kw)
@@ -190,7 +190,7 @@ class TestPhaseTransition:
     def test_desk_scale_ordering_properties(self):
         spec = PhaseTransitionSpec(
             family="modulated-hadamard", n=128, m=64, s_values=(1, 5, 20, 40),
-            k_values=(4, 8), trials=20, setting="gaussian", lambda_reg=1.0,
+            k_values=(4, 8), trials=20, setting="gaussian",
             solver_cfg=FAST_CFG, master_seed=7)
         table = run_phase_transition(spec)
         idx = PT_COLUMNS.index("success_fraction")
@@ -317,8 +317,6 @@ def test_repeated_sweep_value_rejected(name, values):
 
 
 def test_specs_reject_a_solver_cfg_with_another_lambda():
-    with pytest.raises(ArgumentError, match="lambda_reg"):
-        tiny_pt_spec(lambda_reg=2.0)
     with pytest.raises(ArgumentError, match="lambda_reg"):
         StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                       eps_values=(0.0,), trials=2, lambda_reg=2.0,

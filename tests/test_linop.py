@@ -23,6 +23,7 @@ from demixcs import (
     power_iteration,
 )
 from demixcs.models import build_family, build_modulated_hadamard
+from demixcs.solvers import PenalizedL1Config, solve_penalized_l1
 
 from conftest import dense_dft, dense_hadamard, random_complex
 
@@ -289,6 +290,12 @@ class TestPowerIteration:
         assert abs(est.value - np.sqrt(3.0)) <= 0.01 * np.sqrt(3.0)
 
 
+def _solve(y):
+    """A penalized-l1 solve of observation `y` on an mtx1 32/16 model."""
+    return solve_penalized_l1(build_family("mtx1", 32, 16, 0), y,
+                              PenalizedL1Config(lambda_reg=1.0))
+
+
 class TestValidation:
     def test_apply_length_mismatch(self):
         with pytest.raises(ArgumentError):
@@ -308,6 +315,30 @@ class TestValidation:
     def test_sizes_must_be_integers(self, build, value):
         with pytest.raises(ArgumentError, match=re.escape(value)):
             build()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Diagonal(["2", "1j"]), "diagonal entries must be numbers, got dtype <U2"),
+        (lambda: Dense([["1", "2"]]), "matrix entries must be numbers, got dtype <U1"),
+        (lambda: Dense(np.array([[1.0, 2.0]], dtype=object)),
+         "matrix entries must be numbers, got dtype object"),
+        (lambda: Diagonal(np.eye(2)), "diagonal must be 1-D, got shape (2, 2)"),
+        (lambda: Dense(np.ones(3)), "matrix must be 2-D, got shape (3,)"),
+        (lambda: Diagonal([1.0, np.inf]), "diagonal entries must be finite"),
+        (lambda: Dense([[1.0, np.nan]]), "matrix entries must be finite"),
+        (lambda: _solve(["1"] * 16), "observation entries must be numbers, got dtype <U1"),
+        (lambda: _solve(np.ones((16, 1, 1))), "observation must be 1-D or 2-D, got shape"),
+        (lambda: _solve([np.nan] + [0.0] * 15), "observation entries must be finite"),
+        (lambda: _solve(np.ones(15)), "observation must have length 16"),
+        (lambda: Subsample([0, 4], 4), "Subsample index out of range"),
+    ])
+    def test_refused_arrays(self, build, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            build()
+
+    def test_complex_entries_are_not_copied(self):
+        matrix, diag = np.eye(2, dtype=np.complex128), np.ones(2, dtype=np.complex128)
+        assert Dense(matrix).matrix is matrix
+        assert Diagonal(diag).diag is diag
 
     def test_numpy_integer_sizes_pass(self):
         assert WalshHadamard(np.int64(4)).rows == 4

@@ -486,6 +486,23 @@ class TestIrls:
                 IrlsConfig(**bad)
 
 
+@pytest.mark.parametrize("cls, bad, message", [
+    (PenalizedL1Config, dict(lambda_reg=0.0), "lambda_reg must be positive"),
+    (PenalizedL1Config, dict(epsilon=-0.1), "epsilon must be nonnegative"),
+    (PenalizedL1Config, dict(tol=0.0), "tol must be positive"),
+    (PenalizedL1Config, dict(max_iter=0), "max_iter must be positive integers, got 0"),
+    (PenalizedL1Config, dict(max_iter=2.5), "max_iter must be positive integers, got 2.5"),
+    (PenalizedL1Config, dict(max_iter=True), "max_iter must be positive integers, got True"),
+    (IrlsConfig, dict(nu=0.0), "nu must be positive"),
+    (IrlsConfig, dict(outer_max=2.5), "outer_max and cg_max must be positive integers, got 2.5"),
+    (IrlsConfig, dict(cg_max=True), "outer_max and cg_max must be positive integers, got True"),
+])
+def test_config_refusals(cls, bad, message):
+    base = {"lambda_reg": 1.0} if cls is PenalizedL1Config else {}
+    with pytest.raises(ArgumentError, match=message):
+        cls(**{**base, **bad})
+
+
 class TestConfigFiniteness:
     @pytest.mark.parametrize("cls", [PenalizedL1Config, IrlsConfig])
     def test_every_float_field_rejects_nan_and_inf(self, cls):
