@@ -49,7 +49,10 @@ def as_complex(values, what, *ndims):
     """`values` as a complex128 array, with no copy of complex128 input.
     ArgumentError refuses a dtype other than bool, integer, float or complex,
     a number of dimensions not in `ndims` and a non-finite entry."""
-    a = np.asarray(values)
+    try:
+        a = np.asarray(values)
+    except ValueError:  # numpy's refusal of a ragged nesting
+        raise ArgumentError(f"{what} must be a regular array, not a ragged nesting") from None
     if a.dtype.kind not in "biufc":
         raise ArgumentError(f"{what} entries must be numbers, got dtype {a.dtype}")
     if a.ndim not in ndims:
@@ -168,30 +171,29 @@ class Subsample(LinearOperator):
 
 
 def _fwht(x):
-    """Unnormalized Walsh-Hadamard butterfly along axis 0.
-
-    Sylvester (natural) ordering; x is (n, T) with n a power of two.
-    """
+    """Unnormalized Walsh-Hadamard transform along axis 0, Sylvester order; x is
+    (n, T) with n a power of two.  Constant-geometry butterfly (Pease, J. ACM
+    1968) on the columns laid end to end: pass j writes the sums of adjacent
+    entries to the first half of the other buffer and their differences to the
+    second, which combines bit j of the row index by the same `a + b` and `a - b`
+    of the same partial sums as the in-place butterfly, so the bits match it.
+    log2(n) passes restore natural order; the result shares no memory with x."""
     n, t = x.shape
-    y = x.copy()
-    scratch = np.empty((n // 2, t), dtype=x.dtype)
-    h = 1
-    while h < n:
-        y3 = y.reshape(n // (2 * h), 2, h, t)
-        a = y3[:, 0]
-        b = y3[:, 1]
-        diff = scratch.reshape(n // (2 * h), h, t)
-        np.subtract(a, b, out=diff)
-        a += b
-        y3[:, 1] = diff
-        h *= 2
-    return y
+    half = n * t // 2
+    src = x.T.copy().reshape(n * t)
+    dst = np.empty_like(src)
+    for _ in range(n.bit_length() - 1):
+        np.add(src[0::2], src[1::2], out=dst[:half])
+        np.subtract(src[0::2], src[1::2], out=dst[half:])
+        src, dst = dst, src
+    return src.reshape(n, t)
 
 
 class WalshHadamard(LinearOperator):
     """Normalized +-1/sqrt(n) Hadamard transform, Sylvester order.
 
-    Unitary and self-adjoint; applied by an O(n log n) butterfly.
+    Unitary and self-adjoint; applied by `_fwht`'s O(n log n) butterfly, whose
+    constant-geometry passes keep the in-place butterfly's bits, column by column.
     """
 
     kind = "WalshHadamard"

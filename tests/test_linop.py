@@ -22,6 +22,7 @@ from demixcs import (
     materialize,
     power_iteration,
 )
+from demixcs.linop import _fwht
 from demixcs.models import build_family, build_modulated_hadamard
 from demixcs.solvers import PenalizedL1Config, solve_penalized_l1
 
@@ -112,6 +113,60 @@ class TestWalshHadamard:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ArgumentError):
             WalshHadamard(12)
+
+
+def in_place_butterfly(x):
+    """The in-place radix-2 butterfly `_fwht` replaced: the bit reference."""
+    n, t = x.shape
+    y = x.copy()
+    scratch = np.empty((n // 2, t), dtype=x.dtype)
+    h = 1
+    while h < n:
+        y3 = y.reshape(n // (2 * h), 2, h, t)
+        a = y3[:, 0]
+        b = y3[:, 1]
+        diff = scratch.reshape(n // (2 * h), h, t)
+        np.subtract(a, b, out=diff)
+        a += b
+        y3[:, 1] = diff
+        h *= 2
+    return y
+
+
+def butterfly_input(gen, rows, cols, dtype):
+    """Entries spanning 40 decades, a fifth of them signed zeros."""
+    x = gen.standard_normal((rows, cols)) * 10.0 ** gen.integers(-20, 20, (rows, cols))
+    if dtype == np.complex128:
+        x = x + 1j * gen.standard_normal((rows, cols)) * 10.0 ** gen.integers(-20, 20, (rows, cols))
+    x[gen.random((rows, cols)) < 0.2] = -0.0
+    return x.astype(dtype)
+
+
+class TestButterflyBits:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("n", [1 << p for p in range(11)])
+    def test_equals_in_place_butterfly(self, n, dtype):
+        gen = np.random.default_rng(n)
+        for t in (1, 3, 50):
+            big = butterfly_input(gen, 2 * n, 2 * t, dtype)
+            layouts = {"contiguous": big[:n, :t].copy(), "column-strided": big[:n, ::2],
+                       "row-strided": big[::2, :t], "fortran": np.asfortranarray(big[:n, :t])}
+            for layout, x in layouts.items():
+                before = x.copy()
+                out = _fwht(x)
+                assert out.dtype == dtype and out.shape == (n, t)
+                assert out.tobytes() == in_place_butterfly(before).tobytes(), (layout, t)
+                assert x.tobytes() == before.tobytes(), (layout, t)
+                assert not np.shares_memory(out, x), (layout, t)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_batch_column_equals_column_alone(self, dtype):
+        gen = np.random.default_rng(5)
+        for n in (1, 32, 128, 512):
+            op, batch = WalshHadamard(n), butterfly_input(gen, n, 50, dtype)
+            out = op.apply(batch)
+            for j in range(50):
+                assert out[:, j].tobytes() == op.apply(batch[:, j]).tobytes()
 
 
 class TestFourier:
@@ -330,6 +385,9 @@ class TestValidation:
         (lambda: _solve([np.nan] + [0.0] * 15), "observation entries must be finite"),
         (lambda: _solve(np.ones(15)), "observation must have length 16"),
         (lambda: Subsample([0, 4], 4), "Subsample index out of range"),
+        (lambda: Dense([[1, 2], [3]]), "matrix must be a regular array, not a ragged nesting"),
+        (lambda: Diagonal([1, [2, 3]]), "diagonal must be a regular array, not a ragged nesting"),
+        (lambda: _solve([[1, 2], [3]]), "observation must be a regular array, not a ragged nesting"),
     ])
     def test_refused_arrays(self, build, message):
         with pytest.raises(ArgumentError, match=re.escape(message)):
