@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError
 from .io import write_lines
+from .linop import check_sizes
 from .models import build_family, check_instance_spec, gen_instance
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed, is_integer
 from .solvers import (
     IrlsConfig,
     PenalizedL1Config,
@@ -38,7 +39,9 @@ SOLVER_NAMES = ("penalized_l1", "irls_lp")
 
 
 def _check_common(spec, *sweeps):
-    """Each named sweep of `spec` must be non-empty and name no value twice."""
+    """`spec`'s master seed must be valid, and each named sweep non-empty
+    and naming no value twice."""
+    check_seed(spec.master_seed)
     for name in sweeps:
         values = tuple(getattr(spec, name))
         if not values:
@@ -63,11 +66,10 @@ class PhaseTransitionSpec:
 
     def __post_init__(self):
         _check_common(self, "s_values", "k_values")
+        check_sizes("trials", self.trials)
         for pick in (min, max):
             check_instance_spec(self.n, self.m, pick(self.s_values), pick(self.k_values),
                                 self.setting, 0.0)
-        if self.trials < 1:
-            raise ArgumentError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,9 @@ class StabilitySpec:
         for name in self.solvers:
             if name not in SOLVER_NAMES:
                 raise ArgumentError(f"unknown solver '{name}'")
-        if self.trials < 2:
-            raise ArgumentError("trials must be at least 2, since a spread "
-                                f"needs two samples, got {self.trials}")
+        if not is_integer(self.trials) or self.trials < 2:
+            raise ArgumentError("trials must be an integer of at least 2, since a spread "
+                                f"needs two samples, got {self.trials!r}")
 
 
 @dataclass
@@ -223,8 +225,6 @@ def run_stability(spec, threads=1):
 
 
 def _format_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):

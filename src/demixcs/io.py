@@ -5,10 +5,11 @@ record: a flat header of `key = value` lines followed by labelled
 `[name]` blocks of rows, read by `read_record` and written by
 `write_record`.  Vectors serialize as two-column CSV rows (re, im), one
 row per entry, using shortest round-trip float representations so a
-load reproduces the stored values bit for bit.  An instance's model is
-rebuilt from its family, n, m and seed, which each builder turns into one
-model, reproducibly; its draw is fixed by its own seed, from which
-`gen_instance` derives the signal, corruption and noise sub-seeds.
+load reproduces the stored values bit for bit.  An instance file is its
+recipe and its y: the family, n, m and model seed, which each builder
+turns into one model, reproducibly, and the draw's s, k, setting, noise
+amplitude and seed, from which `gen_instance` redraws x, z, w and y.  The
+stored y is the check that the recipe still draws what was written.
 """
 
 from pathlib import Path
@@ -16,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, DemixError, FormatError
-from .models import ProblemInstance, build_family, check_instance_spec
+from .models import build_family, gen_instance
 
 # the instance header in file order: key -> parser
 _INSTANCE_HEADER = {"family": str, "n": int, "m": int, "model_seed": int, "s": int, "k": int,
                     "setting": str, "noise_amp": float, "seed": int}
-_INSTANCE_BLOCKS = ("x_true", "z_true", "w", "y")
 
 
 def _fmt(x):
@@ -96,12 +96,8 @@ def read_record(path):
     return header, blocks
 
 
-def _vector_blocks(pairs):
-    return [(name, format_vector_lines(vec)) for name, vec in pairs]
-
-
 def save_instance(path, inst):
-    """Persist an instance as header + CSV blocks for x, z, w, y."""
+    """Persist an instance as its recipe header and its y."""
     model = inst.model
     if model.family == "custom":
         raise ArgumentError("custom models carry no rebuild recipe; cannot persist")
@@ -109,58 +105,41 @@ def save_instance(path, inst):
                   s=inst.s, k=inst.k, setting=inst.setting,
                   noise_amp=_fmt(inst.noise_amp), seed=inst.seed)
     header = [(key, values[key]) for key in _INSTANCE_HEADER]
-    write_record(path, header, _vector_blocks(
-        (name, getattr(inst, name)) for name in _INSTANCE_BLOCKS), title="# demixcs instance v1")
+    write_record(path, header, [("y", format_vector_lines(inst.y))], title="# demixcs instance v2")
 
 
 def load_instance(path):
-    """Rebuild a persisted instance; the stored y is reproduced bit-exactly.
+    """Redraw a persisted instance from its recipe with `gen_instance`.
 
     A file that `read_record` refuses, or one that lacks an entry, holds
     one that does not parse, or holds a header entry or block this reader
-    does not read, raises FormatError.  So does a block whose length is
-    not n (`x_true`) or m (the others) or that holds a non-finite entry,
-    a header that `gen_instance` would refuse or that names a model that
-    cannot be built, and a y that differs from A x + H z + w.
+    does not read, raises FormatError.  So does a `[y]` block whose length
+    is not m, a header that names a model that cannot be built or a draw
+    that `gen_instance` refuses, and a stored y that differs from the
+    redrawn y by more than 1e-12 max(||y||, 1), a non-finite row included.
     """
     header, blocks = read_record(path)
-    for key in header:
-        if key not in _INSTANCE_HEADER:
-            raise FormatError(f"instance file '{path}' holds unknown entry '{key}'")
-    for name in blocks:
-        if name not in _INSTANCE_BLOCKS:
-            raise FormatError(f"instance file '{path}' holds unknown block '[{name}]'")
+    unknown = ([f"entry '{key}'" for key in header if key not in _INSTANCE_HEADER]
+               + [f"block '[{name}]'" for name in blocks if name != "y"])
+    if unknown:
+        raise FormatError(f"instance file '{path}' holds unknown {unknown[0]}")
     try:
         meta = {key: parse(header[key]) for key, parse in _INSTANCE_HEADER.items()}
-        vecs = {name: parse_vector_lines(blocks[name]) for name in _INSTANCE_BLOCKS}
+        y = parse_vector_lines(blocks["y"])
     except KeyError as exc:
         raise FormatError(f"instance file '{path}' lacks entry {exc}") from None
     except ValueError as exc:
         raise FormatError(f"instance file '{path}' is malformed: {exc}") from None
     family, n, m, model_seed = (meta.pop(key) for key in ("family", "n", "m", "model_seed"))
-    for name, vec in vecs.items():
-        length = n if name == "x_true" else m
-        if vec.size != length:
-            raise FormatError(f"instance file '{path}' block '[{name}]' holds {vec.size} "
-                              f"rows, expected {length}")
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"instance file '{path}' block '[{name}]' holds a "
-                              "non-finite entry")
+    if y.size != m:
+        raise FormatError(f"instance file '{path}' block '[y]' holds {y.size} rows, expected {m}")
     try:
-        check_instance_spec(n, m, meta["s"], meta["k"], meta["setting"], meta["noise_amp"])
-        model = build_family(family, n, m, model_seed)
+        inst = gen_instance(build_family(family, n, m, model_seed), **meta)
     except DemixError as exc:
         raise FormatError(f"instance file '{path}': {exc}") from None
-    inst = ProblemInstance(
-        model=model,
-        x_true=vecs["x_true"], z_true=vecs["z_true"],
-        w=vecs["w"], y=vecs["y"], **meta)
-
-    recomputed = model.A.apply(inst.x_true) + model.H.apply(inst.z_true) + inst.w
-    drift = np.linalg.norm(recomputed - inst.y)
-    if not drift <= 1e-12 * max(np.linalg.norm(inst.y), 1.0):
-        raise FormatError(f"instance file '{path}' inconsistent: "
-                          f"|y - (Ax+Hz+w)| = {drift:g}")
+    drift = np.linalg.norm(inst.y - y)
+    if not drift <= 1e-12 * max(np.linalg.norm(y), 1.0):
+        raise FormatError(f"instance file '{path}' inconsistent: |y - redrawn y| = {drift:g}")
     return inst
 
 
@@ -168,5 +147,5 @@ def save_result(path, result):
     """Solve-result record: status lines plus CSV blocks for the estimates."""
     header = [("status", result.status), ("iterations", result.iterations),
               ("residual", _fmt(result.residual)), ("objective", _fmt(result.objective))]
-    write_record(path, header, _vector_blocks(
-        (("x_hat", result.x_hat), ("z_hat", result.z_hat))), title="# demixcs result v1")
+    write_record(path, header, [(name, format_vector_lines(getattr(result, name)))
+                                for name in ("x_hat", "z_hat")], title="# demixcs result v1")

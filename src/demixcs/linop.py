@@ -20,12 +20,13 @@ complex128 one, and that result's imaginary part is zero.
 
 import cmath
 import numbers
+import sys
 from collections import namedtuple
 
 import numpy as np
 
 from .errors import ArgumentError, BudgetError
-from .seeding import rng
+from .seeding import is_integer, rng
 
 # Cap on rows*cols for dense materialization; the enumeration oracles only
 # ever need small instances.
@@ -41,8 +42,14 @@ def is_power_of_two(n):
 def check_sizes(what, *values):
     """Refuse a size that is not a positive integer; numpy integers pass, bools do not."""
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+        if not is_integer(value) or value <= 0:
             raise ArgumentError(f"{what} must be positive integers, got {value!r}")
+
+
+def is_finite_real(value):
+    """An int, float or numpy real that a finite float can hold; not a bool or string."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 def as_complex(values, what, *ndims):

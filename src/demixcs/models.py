@@ -7,8 +7,6 @@ perturbation.  All builders are pure functions of their seed, so a model
 can be rebuilt bit-for-bit from its header metadata.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +21,11 @@ from .linop import (
     Subsample,
     WalshHadamard,
     identity,
+    is_finite_real,
     is_power_of_two,
     materialize,
 )
-from .seeding import derive_seed, rng
+from .seeding import derive_seed, is_integer, rng
 
 # Short labels kept as synonyms on the CLI surface.
 FAMILY_ALIASES = {
@@ -248,7 +247,7 @@ def check_sparsity(n, m, s, k):
     """Refuse a signal sparsity outside [0, n] or a corruption sparsity outside
     [0, m], or one that is not an integer; numpy integers pass, bools do not."""
     for name, value, top in (("signal", s, n), ("corruption", k, m)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ArgumentError(f"{name} sparsity {value} is not an integer")
         if not 0 <= value <= top:
             raise ArgumentError(f"{name} sparsity {value} outside [0, {top}]")
@@ -258,11 +257,11 @@ def check_instance_spec(n, m, s, k, setting, noise_amp):
     """Refuse a draw on an m x n model that `gen_instance` cannot make.
 
     Sparsities must pass `check_sparsity`, the setting must be known,
-    and the noise amplitude finite and nonnegative.  The sweep specs and
-    the instance-file reader apply the same rule.
+    and the noise amplitude a finite nonnegative number.  The sweep specs,
+    and the instance-file reader through `gen_instance`, apply the same rule.
     """
-    if not (math.isfinite(noise_amp) and noise_amp >= 0):
-        raise ArgumentError(f"noise_amp must be finite and nonnegative, got {noise_amp}")
+    if not (is_finite_real(noise_amp) and noise_amp >= 0):
+        raise ArgumentError(f"noise_amp must be finite and nonnegative, got {noise_amp!r}")
     check_sparsity(n, m, s, k)
     if setting not in SETTINGS:
         raise ArgumentError(f"unknown setting '{setting}'")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ArgumentError, BudgetError
 from .linop import Dense, materialize
 from .models import check_sparsity, custom_model
+from .seeding import is_integer
 
 ENUM_BUDGET = 10 ** 6  # cap on the support pairs one search enumerates
 
@@ -232,9 +233,9 @@ def recovery_threshold(s, k, lambda_reg):
     threshold is 1/sqrt(1 + (1/(2 sqrt 2) + sqrt(eta))^2), strictly
     decreasing in eta with eta >= 2 always.
     """
-    if s < 1 or k < 1 or not 0 < lambda_reg < math.inf:
-        raise ArgumentError(f"need s, k >= 1 and a finite lambda_reg > 0, "
-                            f"got s={s}, k={k}, lambda_reg={lambda_reg}")
+    if not (is_integer(s) and is_integer(k) and min(s, k) >= 1 and 0 < lambda_reg < math.inf):
+        raise ArgumentError(f"need integers s, k >= 1 and a finite lambda_reg > 0, "
+                            f"got s={s!r}, k={k!r}, lambda_reg={lambda_reg}")
     lk = lambda_reg ** 2 * k
     eta = (s + lk) / min(s, lk)
     threshold = 1.0 / math.sqrt(1.0 + (1.0 / (2.0 * math.sqrt(2.0)) + math.sqrt(eta)) ** 2)

@@ -6,16 +6,27 @@ independent streams, and the same (master_seed, path) always reproduces
 the same stream, independent of evaluation order or worker count.
 """
 
+import numbers
+
 import numpy as np
 
 from .errors import ArgumentError
 
 
+def is_integer(value):
+    """An int or a numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed, path=()):
+    """Refuse a seed or path entry that is not a nonnegative integer."""
+    if not all(is_integer(v) and v >= 0 for v in (seed, *path)):
+        raise ArgumentError(f"seed {seed!r} and path {tuple(path)} must be nonnegative integers")
+
+
 def _sequence(seed, path):
-    key = tuple(int(p) for p in path)
-    if int(seed) < 0 or any(p < 0 for p in key):
-        raise ArgumentError(f"seed {seed} and path {key} must be nonnegative")
-    return np.random.SeedSequence(int(seed), spawn_key=key)
+    check_seed(seed, path)
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))
 
 
 def derive_seed(master_seed, path):

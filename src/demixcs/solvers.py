@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .linop import as_complex, check_sizes, hstack, power_iteration
+from .linop import as_complex, check_sizes, hstack, is_finite_real, power_iteration
 
 _TINY = 1e-300
 # IRLS smoothing schedule: eps starts at _EPS_INIT and shrinks by
@@ -47,11 +47,12 @@ _FINITE_EVERY = 64  # _run_batch checks the live iterates every this many steps
 
 
 def _require_finite(cfg):
-    """Reject NaN and infinite float fields; NaN passes every range test."""
+    """Reject a float field that is not a finite number: a bool, a string,
+    an infinity or NaN, which passes every range test."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type is float and not math.isfinite(value):
-            raise ArgumentError(f"{f.name} must be finite, got {value}")
+        if f.type is float and not is_finite_real(value):
+            raise ArgumentError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -339,9 +340,9 @@ def solve_penalized_l1(model, y, cfg):
     The power-iteration estimate of ||[A, H]|| only sets the starting
     eta = 0.99/||[A, H]||, so a short estimate costs rejected steps, not
     divergence.  A rejected step counts toward max_iter; the iterates
-    scale with y.
+    scale with y.  A y that is not 1-D is refused.
     """
-    return solve_penalized_l1_batch(model, y, cfg)[0]
+    return solve_penalized_l1_batch(model, as_complex(y, "observation", 1), cfg)[0]
 
 
 def _cg_target(cg_tol, eps_k):
@@ -410,8 +411,9 @@ def solve_irls_lp_batch(model, y, cfg):
 
 
 def solve_irls_lp(model, y, cfg):
-    """Reweighted-least-squares recovery from a single observation."""
-    return solve_irls_lp_batch(model, y, cfg)[0]
+    """Reweighted-least-squares recovery from a single observation; a y
+    that is not 1-D is refused."""
+    return solve_irls_lp_batch(model, as_complex(y, "observation", 1), cfg)[0]
 
 
 def check_success(result, instance):

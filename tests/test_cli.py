@@ -15,7 +15,7 @@ from demixcs import (
 from demixcs import cli
 from demixcs.cli import main, parse_args, parse_float_list, parse_int_list
 from demixcs.experiments import parse_csv
-from demixcs.io import load_instance, save_instance, save_result
+from demixcs.io import format_vector_lines, load_instance, save_instance, save_result
 from demixcs.linop import materialize
 from demixcs.models import FAMILIES, build_cs_ofdm, build_family
 from demixcs.rip import skrip_support_extremes
@@ -238,6 +238,15 @@ class TestVectorAndInstanceFiles:
 
 
 class TestDispatch:
+    def test_model_reports_and_writes_its_manifest(self, tmp_path, capsys):
+        assert main(["model", "--family", "mtx2", "--n", "32", "--m", "16", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        model = build_family("mtx2", 32, 16, 3)
+        assert capsys.readouterr().out.splitlines() == [
+            model.describe(), "coherence(A) = 0.25", "coherence(H) = 0.25"]
+        assert (tmp_path / "run_manifest.txt").read_text().splitlines()[:2] == [
+            "subcommand = model", "seed = 3"]
+
     def test_rip_reports_threshold(self, tmp_path, capsys):
         code = main(["rip", "--family", "cs-ofdm", "--n", "32", "--m", "32",
                      "--s", "1", "--k", "1", "--lambda", "1", "--seed", "11",
@@ -365,8 +374,8 @@ class TestInputFailures:
     @pytest.mark.parametrize("old, new, name", [
         ("s = 1\n", "s 1\n", "expected 'key = value'"),
         ("k = 1\n", "k = 1\nk = 2\n", "'k' given twice"),
-        ("[w]\n", "[x_true]\n", "'x_true' given twice"),
-        ("[w]\n", "[notes]\nhello\n[w]\n", r"unknown block '\[notes\]'"),
+        ("[y]\n", "[y]\n[y]\n", "'y' given twice"),
+        ("[y]\n", "[notes]\nhello\n[y]\n", r"unknown block '\[notes\]'"),
         # headers that gen would refuse
         ("s = 1\n", "s = 99\n", r"signal sparsity 99 outside \[0, 32\]"),
         ("noise_amp = 0.0\n", "noise_amp = -1.0\n", "noise_amp must be finite"),
@@ -375,8 +384,12 @@ class TestInputFailures:
         ("family = modulated-hadamard\n", "family = subsampled-hadamard\n",
          "m must be a power of two, got 12"),
         ("family = modulated-hadamard\n", "family = nope\n", "unknown model family 'nope'"),
-        # a changed noise row leaves the stored y off A x + H z + w
-        ("[w]\n0.0,0.0\n", "[w]\n0.5,0.0\n", r"inconsistent: \|y - \(Ax\+Hz\+w\)\| = 0\.5"),
+        # a recipe line that gen accepts but that draws another y
+        ("seed = 9\n", "seed = 10\n", r"inconsistent: \|y - redrawn y\|"),
+        ("s = 1\n", "s = 2\n", r"inconsistent: \|y - redrawn y\|"),
+        ("k = 1\n", "k = 2\n", r"inconsistent: \|y - redrawn y\|"),
+        ("setting = gaussian\n", "setting = flat\n", r"inconsistent: \|y - redrawn y\|"),
+        ("noise_amp = 0.0\n", "noise_amp = 0.5\n", r"inconsistent: \|y - redrawn y\|"),
     ])
     def test_header_line_the_reader_refuses(self, tmp_path, capsys, old, new, name):
         model = build_family("mtx1", 32, 12, seed=5)
@@ -414,19 +427,24 @@ class TestInputFailures:
         one_line_error(capsys, "FormatError")
         assert not out.exists()
 
-    @pytest.mark.parametrize("block, rows, name", [
-        ("y", [], r"'\[y\]' holds 15 rows, expected 16"),
-        ("w", [], r"'\[w\]' holds 15 rows, expected 16"),
-        ("x_true", ["nan,0.0"], r"'\[x_true\]' holds a non-finite entry"),
-    ], ids=["y-row-short", "w-row-short", "x_true-nan-row"])
-    def test_vector_block_the_reader_refuses(self, tmp_path, capsys, block, rows, name):
+    @pytest.mark.parametrize("edit, name", [
+        (lambda lines, inst: lines[:-1], r"'\[y\]' holds 15 rows, expected 16"),
+        # the v1 format stored x, z and w too, under its own title
+        (lambda lines, inst: ["# demixcs instance v1", *lines[1:-17]]
+         + [row for name in ("x_true", "z_true", "w")
+            for row in (f"[{name}]", *format_vector_lines(getattr(inst, name)))]
+         + lines[-17:], r"unknown block '\[x_true\]'"),
+        (lambda lines, inst: lines[:-16] + ["nan,0.0"] + lines[-15:],
+         r"inconsistent: \|y - redrawn y\| = nan"),
+    ], ids=["y-row-short", "v1-file", "y-nan-row"])
+    def test_vector_block_the_reader_refuses(self, tmp_path, capsys, edit, name):
         model = build_cs_ofdm(32, 16, seed=5)
         path = tmp_path / "inst.txt"
-        save_instance(path, gen_instance(model, 1, 1, "gaussian", 0.0, seed=9))
+        inst = gen_instance(model, 1, 1, "gaussian", 0.0, seed=9)
+        save_instance(path, inst)
         lines = path.read_text().splitlines()
-        at = lines.index(f"[{block}]") + 1
-        lines[at:at + 1] = rows
-        path.write_text("\n".join(lines) + "\n")
+        assert lines[0] == "# demixcs instance v2" and lines[-17] == "[y]"
+        path.write_text("\n".join(edit(lines, inst)) + "\n")
         with pytest.raises(FormatError, match=name):
             load_instance(path)
         out = tmp_path / "out"

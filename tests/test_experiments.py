@@ -52,7 +52,8 @@ class TestDeriveSeed:
                 seen.add(derive_seed(12345, (cell, trial)))
         assert len(seen) == 10 ** 6
 
-    @pytest.mark.parametrize("seed, path", [(-1, (0,)), (3, (0, -2))])
+    @pytest.mark.parametrize("seed, path", [(-1, (0,)), (3, (0, -2)), (1.5, (0,)), (True, (0,)),
+                                            (3, (1.5,)), (3, (True,))])
     def test_negative_seed_or_path_entry_rejected(self, seed, path):
         with pytest.raises(ArgumentError, match="nonnegative"):
             derive_seed(seed, path)
@@ -168,6 +169,11 @@ class TestPhaseTransition:
         with pytest.raises(ArgumentError, match="trials"):
             tiny_pt_spec(trials=0)
 
+    @pytest.mark.parametrize("trials", [1.5, True, "2"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ArgumentError, match=f"positive integers, got {trials!r}"):
+            tiny_pt_spec(trials=trials)
+
     @pytest.mark.parametrize("grid", [dict(s_values=(1, -1)), dict(k_values=(-1,))])
     def test_negative_sparsity_rejected(self, grid):
         with pytest.raises(ArgumentError, match="outside"):
@@ -256,6 +262,17 @@ class TestStability:
             StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
                           eps_values=(0.0,), trials=0, master_seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ArgumentError, match=f"at least 2, .* got {trials!r}"):
+            StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                          eps_values=(0.0,), trials=trials)
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ArgumentError, match="unknown solver 'lasso'"):
+            StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                          eps_values=(0.0,), trials=2, solvers=("lasso",))
+
     @pytest.mark.parametrize("eps", [(0.0, float("nan")), (0.0, float("inf")), (-0.1, 0.0)])
     def test_eps_values_must_be_finite_and_nonnegative(self, eps):
         with pytest.raises(ArgumentError, match="noise_amp"):
@@ -314,6 +331,15 @@ def test_repeated_sweep_value_rejected(name, values):
     spec = stab if hasattr(stab, name) else tiny_pt_spec()
     with pytest.raises(ArgumentError, match=f"{name} names a value twice"):
         replace(spec, **{name: values})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_master_seed_must_be_a_nonnegative_integer(seed):
+    stab = StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                         eps_values=(0.0,), trials=2)
+    for spec in (stab, tiny_pt_spec()):
+        with pytest.raises(ArgumentError, match=f"seed {seed!r} and path"):
+            replace(spec, master_seed=seed)
 
 
 def test_specs_reject_a_solver_cfg_with_another_lambda():

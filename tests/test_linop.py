@@ -24,7 +24,13 @@ from demixcs import (
 )
 from demixcs.linop import _fwht
 from demixcs.models import build_family, build_modulated_hadamard
-from demixcs.solvers import PenalizedL1Config, solve_penalized_l1
+from demixcs.solvers import (
+    IrlsConfig,
+    PenalizedL1Config,
+    solve_irls_lp,
+    solve_penalized_l1,
+    solve_penalized_l1_batch,
+)
 
 from conftest import dense_dft, dense_hadamard, random_complex
 
@@ -337,6 +343,17 @@ class TestPowerIteration:
         est = power_iteration(Diagonal(np.array([3.0, 1.0])))
         assert abs(est.value - 3.0) <= 1e-6
 
+    def test_zero_operator(self):
+        assert power_iteration(Diagonal(np.zeros(4))) == (0.0, 1, True)
+
+    def test_iteration_cap_returns_the_last_estimate_unconverged(self, monkeypatch):
+        from demixcs import linop
+
+        monkeypatch.setattr(linop, "_POWER_MAX_ITER", 3)
+        est = power_iteration(Diagonal(np.array([3.0, 2.9])))
+        assert est.iterations == 3 and not est.converged
+        assert 2.9 < est.value < 3.0
+
     def test_tight_frame_stack_norm(self):
         model = build_modulated_hadamard(512, 256, seed=2)
         theta = hstack(model.A, model.H)
@@ -345,10 +362,10 @@ class TestPowerIteration:
         assert abs(est.value - np.sqrt(3.0)) <= 0.01 * np.sqrt(3.0)
 
 
-def _solve(y):
-    """A penalized-l1 solve of observation `y` on an mtx1 32/16 model."""
-    return solve_penalized_l1(build_family("mtx1", 32, 16, 0), y,
-                              PenalizedL1Config(lambda_reg=1.0))
+def _solve(y, solve=solve_penalized_l1):
+    """`solve` of observation `y` on an mtx1 32/16 model, penalized-l1 by default."""
+    cfg = IrlsConfig() if solve is solve_irls_lp else PenalizedL1Config(lambda_reg=1.0)
+    return solve(build_family("mtx1", 32, 16, 0), y, cfg)
 
 
 class TestValidation:
@@ -359,6 +376,14 @@ class TestValidation:
     def test_adjoint_length_mismatch(self):
         with pytest.raises(ArgumentError):
             Subsample(np.array([0, 1]), 5).apply_adjoint(np.ones(5))
+
+    @pytest.mark.parametrize("x, message", [
+        (np.ones((7, 2)), "WalshHadamard: got 7 rows, expected 8"),
+        (np.ones((8, 2, 1)), "WalshHadamard: expected 1-D or 2-D input, got 3-D"),
+    ], ids=["batch-rows", "3-D"])
+    def test_batch_shape_mismatch(self, x, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            WalshHadamard(8).apply(x)
 
     @pytest.mark.parametrize("build, value", [
         (lambda: WalshHadamard(4.0), "4.0"),
@@ -381,7 +406,13 @@ class TestValidation:
         (lambda: Diagonal([1.0, np.inf]), "diagonal entries must be finite"),
         (lambda: Dense([[1.0, np.nan]]), "matrix entries must be finite"),
         (lambda: _solve(["1"] * 16), "observation entries must be numbers, got dtype <U1"),
-        (lambda: _solve(np.ones((16, 1, 1))), "observation must be 1-D or 2-D, got shape"),
+        (lambda: _solve(np.ones((16, 1, 1)), solve_penalized_l1_batch),
+         "observation must be 1-D or 2-D, got shape"),
+        # a single-observation solver takes one column, not the first of many
+        (lambda: _solve(np.ones((16, 1, 1))), "observation must be 1-D, got shape (16, 1, 1)"),
+        (lambda: _solve(np.ones((16, 3))), "observation must be 1-D, got shape (16, 3)"),
+        (lambda: _solve(np.ones((16, 2)), solve_irls_lp),
+         "observation must be 1-D, got shape (16, 2)"),
         (lambda: _solve([np.nan] + [0.0] * 15), "observation entries must be finite"),
         (lambda: _solve(np.ones(15)), "observation must have length 16"),
         (lambda: Subsample([0, 4], 4), "Subsample index out of range"),

@@ -33,6 +33,10 @@ class TestGolay:
     def test_q1_base_pair(self):
         assert np.array_equal(golay_sequence(1), [1, 1])
 
+    def test_q0_rejected(self):
+        with pytest.raises(ArgumentError, match="q >= 1"):
+            golay_sequence(0)
+
     def test_flat_spectrum_q1_through_q8(self):
         # |A(w)|^2 <= 2n at every frequency: what the cs-ofdm and drpe
         # coherence bounds rest on
@@ -214,6 +218,17 @@ class TestFamilies:
         t = np.hstack([materialize(model.A), materialize(model.H)])
         assert np.abs(t @ t.conj().T - (n / m + 1) * np.eye(m)).max() <= 1e-13
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_more_rows_than_columns_rejected(self, family):
+        with pytest.raises(ArgumentError, match="need 1 <= m <= n, got m=64, n=32"):
+            build_family(family, 32, 64, 0)
+
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_seed_must_be_a_nonnegative_integer(self, family, seed):
+        with pytest.raises(ArgumentError, match=f"seed {seed!r} and path"):
+            build_family(family, 32, 16, seed)
+
     def test_aliases(self):
         assert canonical_family("mtx1") == "modulated-hadamard"
         assert canonical_family("mtx2") == "subsampled-hadamard"
@@ -281,11 +296,24 @@ class TestGenInstance:
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.x_true, b.x_true)
 
-    @pytest.mark.parametrize("amp", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("amp", [-0.1, float("nan"), float("inf"), "0.1", True, None,
+                                     pytest.param(10 ** 400, id="int-past-float-max")])
     def test_bad_noise_amplitude_rejected(self, amp):
         model = build_modulated_hadamard(32, 16, seed=0)
         with pytest.raises(ArgumentError, match="noise_amp"):
             gen_instance(model, 1, 1, "gaussian", amp, seed=2)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_draw_seed_must_be_a_nonnegative_integer(self, seed):
+        model = build_modulated_hadamard(32, 16, seed=0)
+        with pytest.raises(ArgumentError, match=f"seed {seed!r} and path"):
+            gen_instance(model, 1, 1, "gaussian", 0.0, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        model = build_modulated_hadamard(32, 16, seed=np.int64(0))
+        assert model.describe() == build_modulated_hadamard(32, 16, seed=0).describe()
+        a = gen_instance(model, 2, 1, "gaussian", 0.05, seed=np.uint32(9))
+        assert np.array_equal(a.y, gen_instance(model, 2, 1, "gaussian", 0.05, seed=9).y)
 
 
 class TestCoherence:

@@ -219,6 +219,14 @@ class TestRipInputs:
         with pytest.raises(ArgumentError):
             certify_uniqueness(custom_model(HADAMARD2, np.eye(2)), 1, 1, lam)
 
+    @pytest.mark.parametrize("s, k", [(1.5, 1), (1, True), (0, 1), (np.int64(1), 1.0)])
+    def test_threshold_sparsities_must_be_integers(self, s, k):
+        with pytest.raises(ArgumentError, match="need integers s, k >= 1"):
+            recovery_threshold(s, k, 1.0)
+
+    def test_threshold_takes_numpy_integers(self):
+        assert recovery_threshold(np.int64(2), np.int32(3), 1.0) == recovery_threshold(2, 3, 1.0)
+
     @pytest.mark.parametrize("delta", [0.0, -0.5, math.nan, math.inf])
     def test_bounds_reject_bad_delta(self, delta):
         with pytest.raises(ArgumentError):

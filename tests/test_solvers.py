@@ -496,6 +496,11 @@ class TestIrls:
     (IrlsConfig, dict(nu=0.0), "nu must be positive"),
     (IrlsConfig, dict(outer_max=2.5), "outer_max and cg_max must be positive integers, got 2.5"),
     (IrlsConfig, dict(cg_max=True), "outer_max and cg_max must be positive integers, got True"),
+    (PenalizedL1Config, dict(lambda_reg="1"), "lambda_reg must be a finite number, got '1'"),
+    (PenalizedL1Config, dict(epsilon=True), "epsilon must be a finite number, got True"),
+    (IrlsConfig, dict(p="0.5"), "p must be a finite number, got '0.5'"),
+    (IrlsConfig, dict(cg_tol=None), "cg_tol must be a finite number, got None"),
+    (PenalizedL1Config, dict(lambda_reg=10 ** 400), "lambda_reg must be a finite number, got 1000"),
 ])
 def test_config_refusals(cls, bad, message):
     base = {"lambda_reg": 1.0} if cls is PenalizedL1Config else {}
