@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ArgumentError
 from .io import write_lines
-from .linop import check_sizes
+from .linop import check_real, check_sizes
 from .models import build_family, check_instance_spec, gen_instance
 from .seeding import check_seed, derive_seed, is_integer
 from .solvers import (
@@ -91,10 +91,14 @@ class StabilitySpec:
 
     def __post_init__(self):
         _check_common(self, "eps_values", "solvers")
+        check_real("lambda_reg", self.lambda_reg, 0)
         cfg = self.solver_cfg
         if cfg is not None and cfg.lambda_reg != self.lambda_reg:
             raise ArgumentError(f"solver_cfg.lambda_reg {cfg.lambda_reg} "
                                 f"differs from lambda_reg {self.lambda_reg}")
+        if cfg is not None and cfg.epsilon != 0:
+            raise ArgumentError(f"solver_cfg.epsilon must be 0, since each cell sets it "
+                                f"to its eps_ball, got {cfg.epsilon!r}")
         for eps in self.eps_values:
             check_instance_spec(self.n, self.m, self.s, self.k, "gaussian", eps)
         if tuple(self.eps_values) != tuple(sorted(self.eps_values)):

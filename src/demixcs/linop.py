@@ -40,16 +40,34 @@ def is_power_of_two(n):
 
 
 def check_sizes(what, *values):
-    """Refuse a size that is not a positive integer; numpy integers pass, bools do not."""
+    """Refuse a size that is not a positive integer a float can hold; numpy
+    integers pass, bools do not."""
     for value in values:
-        if not is_integer(value) or value <= 0:
+        if not (is_integer(value) and 0 < value <= sys.float_info.max):
             raise ArgumentError(f"{what} must be positive integers, got {value!r}")
 
 
 def is_finite_real(value):
-    """An int, float or numpy real that a finite float can hold; not a bool or string."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and -sys.float_info.max <= value <= sys.float_info.max)
+    """An int, float or numpy real that a finite float can hold; not a bool or
+    string.  An int is compared, since it may exceed every float, and any
+    other real tested in its own precision, since comparing a float32 with
+    the float64 maximum overflows its cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    if isinstance(value, numbers.Integral):
+        return abs(value) <= sys.float_info.max
+    return cmath.isfinite(value)
+
+
+def check_real(what, value, low, high=float("inf"), ends="()"):
+    """Refuse a real setting that is not `is_finite_real` or lies outside the
+    interval from `low` to `high`, open or closed at each end as `ends`
+    reads: "()", "[)", "(]" or "[]"."""
+    if not (is_finite_real(value)
+            and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        raise ArgumentError(f"{what} must be a finite number in "
+                            f"{ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}")
 
 
 def as_complex(values, what, *ndims):

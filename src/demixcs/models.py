@@ -21,7 +21,6 @@ from .linop import (
     Subsample,
     WalshHadamard,
     identity,
-    is_finite_real,
     is_power_of_two,
     materialize,
 )
@@ -88,8 +87,7 @@ def golay_sequence(q):
     2 * length at every frequency, so |A(w)|^2 <= 2 * length: the flat
     spectrum that bounds the coherence of modulated transforms.
     """
-    if q < 1:
-        raise ArgumentError("golay_sequence needs q >= 1")
+    linop.check_sizes("golay_sequence q", q)
     a = np.array([1.0])
     b = np.array([1.0])
     for _ in range(q):
@@ -260,8 +258,7 @@ def check_instance_spec(n, m, s, k, setting, noise_amp):
     and the noise amplitude a finite nonnegative number.  The sweep specs,
     and the instance-file reader through `gen_instance`, apply the same rule.
     """
-    if not (is_finite_real(noise_amp) and noise_amp >= 0):
-        raise ArgumentError(f"noise_amp must be finite and nonnegative, got {noise_amp!r}")
+    linop.check_real("noise_amp", noise_amp, 0, ends="[)")
     check_sparsity(n, m, s, k)
     if setting not in SETTINGS:
         raise ArgumentError(f"unknown setting '{setting}'")

@@ -15,16 +15,14 @@ the penalized program with zero noise.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ArgumentError, BudgetError
-from .linop import Dense, materialize
+from .errors import BudgetError
+from .linop import Dense, check_real, check_sizes, materialize
 from .models import check_sparsity, custom_model
-from .seeding import is_integer
 
 ENUM_BUDGET = 10 ** 6  # cap on the support pairs one search enumerates
 
@@ -56,13 +54,16 @@ class RipReport:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Recovery-threshold evaluation for given sparsity levels and weight."""
+    """Recovery-threshold evaluation for given sparsity levels and weight.
+    With `skrip`, the exact search at (2s, 2k), it is a certificate:
+    `delta_2s2k` is the searched constant and `satisfied` whether it lies
+    below the threshold; without it both are None."""
 
     eta: float
     threshold: float
-    delta_2s2k: float = None
-    satisfied: bool = None
     skrip: RipReport = None  # the exact search behind delta_2s2k, with its witness
+    delta_2s2k = property(lambda self: self.skrip and self.skrip.delta)
+    satisfied = property(lambda self: self.skrip and bool(self.skrip.delta < self.threshold))
 
 
 def _combo_array(n, r):
@@ -233,10 +234,13 @@ def recovery_threshold(s, k, lambda_reg):
     threshold is 1/sqrt(1 + (1/(2 sqrt 2) + sqrt(eta))^2), strictly
     decreasing in eta with eta >= 2 always.
     """
-    if not (is_integer(s) and is_integer(k) and min(s, k) >= 1 and 0 < lambda_reg < math.inf):
-        raise ArgumentError(f"need integers s, k >= 1 and a finite lambda_reg > 0, "
-                            f"got s={s!r}, k={k!r}, lambda_reg={lambda_reg}")
-    lk = lambda_reg ** 2 * k
+    check_sizes("s and k", s, k)
+    check_real("lambda_reg", lambda_reg, 0)
+    try:
+        lk = lambda_reg ** 2 * k
+    except OverflowError:  # a float power raises where a product gives inf
+        lk = math.inf
+    check_real(f"lambda_reg ** 2 * k (lambda_reg={lambda_reg!r}, k={k!r})", lk, 0)
     eta = (s + lk) / min(s, lk)
     threshold = 1.0 / math.sqrt(1.0 + (1.0 / (2.0 * math.sqrt(2.0)) + math.sqrt(eta)) ** 2)
     return ThresholdReport(eta=float(eta), threshold=float(threshold))
@@ -255,29 +259,11 @@ def certify_uniqueness(model, s, k, lambda_reg):
     base = recovery_threshold(s, k, lambda_reg)
     a = materialize(model.A)
     h = materialize(model.H)
-    report = exact_skrip(a, h, 2 * s, 2 * k)
-    return ThresholdReport(
-        eta=base.eta,
-        threshold=base.threshold,
-        delta_2s2k=report.delta,
-        satisfied=bool(report.delta < base.threshold),
-        skrip=report,
-    )
+    return ThresholdReport(base.eta, base.threshold, exact_skrip(a, h, 2 * s, 2 * k))
 
 
 def _log_clamped(v):
     return max(math.log(v), 1.0)
-
-
-def _check_bound_args(delta, coherence, **counts):
-    if not 0.0 < delta < 1.0:
-        raise ArgumentError(f"delta must lie in (0, 1), got {delta}")
-    for name, value in coherence.items():
-        if not 0.0 < value <= 1.0:
-            raise ArgumentError(f"{name} must lie in (0, 1], got {value}")
-    for name, value in counts.items():
-        if not 1 <= value <= sys.float_info.max:
-            raise ArgumentError(f"{name} must lie in [1, {sys.float_info.max:g}], got {value}")
 
 
 def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta):
@@ -288,7 +274,9 @@ def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta):
     absolute constants are unknown and set to 1, which makes this a
     relative calculator, not a prescription.
     """
-    _check_bound_args(delta, {"mu_b": mu_b}, s=s, k=k, n_tilde=n_tilde)
+    check_sizes("s, k and n_tilde", s, k, n_tilde)
+    check_real("mu_b", mu_b, 0, 1, "(]")
+    check_real("delta", delta, 0, 1)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n_tilde)
     m_signal = s / delta / delta * n_tilde * mu_b * mu_b * ls * ls * ln * ln
     m_corruption = k / delta / delta * lk * lk * ln * ln
@@ -299,10 +287,10 @@ def sample_bound_modulated_frame(s, k, n_tilde, mu_b, delta):
 class SubsampledBounds:
     """All conditions of the subsampled-basis guarantee, evaluated."""
 
-    m_signal: float
     m_signal_terms: tuple
     m_corruption: float
     m_upper: float
+    m_signal = property(lambda self: max(self.m_signal_terms))
 
 
 def sample_bound_subsampled(s, k, n, mu_g, delta):
@@ -315,7 +303,9 @@ def sample_bound_subsampled(s, k, n, mu_g, delta):
     are not prescriptive, which the upper bound makes obvious at small
     delta.
     """
-    _check_bound_args(delta, {"mu_g": mu_g}, s=s, k=k, n=n)
+    check_sizes("s, k and n", s, k, n)
+    check_real("mu_g", mu_g, 0, 1, "(]")
+    check_real("delta", delta, 0, 1)
     ls, lk, ln = _log_clamped(s), _log_clamped(k), _log_clamped(n)
     terms = (
         s / delta / delta * n * mu_g * mu_g * ls * ls * ln * ln,
@@ -325,7 +315,6 @@ def sample_bound_subsampled(s, k, n, mu_g, delta):
     m_corruption = k / delta / delta * n * mu_g * mu_g * lk * lk * ln * ln
     m_upper = delta * delta * n
     return SubsampledBounds(
-        m_signal=float(max(terms)),
         m_signal_terms=tuple(float(t) for t in terms),
         m_corruption=float(m_corruption),
         m_upper=float(m_upper),

@@ -28,12 +28,12 @@ round differently at another batch width.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArgumentError, NumericalError
-from .linop import as_complex, check_sizes, hstack, is_finite_real, power_iteration
+from .linop import as_complex, check_real, check_sizes, hstack, power_iteration
 
 _TINY = 1e-300
 # IRLS smoothing schedule: eps starts at _EPS_INIT and shrinks by
@@ -46,15 +46,6 @@ _STEP_SHRINK_EXP, _STEP_GROW_EXP = 0.3, 0.6
 _FINITE_EVERY = 64  # _run_batch checks the live iterates every this many steps
 
 
-def _require_finite(cfg):
-    """Reject a float field that is not a finite number: a bool, a string,
-    an infinity or NaN, which passes every range test."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.type is float and not is_finite_real(value):
-            raise ArgumentError(f"{f.name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PenalizedL1Config:
     """Knobs for the penalized-l1 solver."""
@@ -65,14 +56,10 @@ class PenalizedL1Config:
     tol: float = 1e-9
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.lambda_reg <= 0:
-            raise ArgumentError("lambda_reg must be positive")
-        if self.epsilon < 0:
-            raise ArgumentError("epsilon must be nonnegative")
+        check_real("lambda_reg", self.lambda_reg, 0)
+        check_real("epsilon", self.epsilon, 0, ends="[)")
         check_sizes("max_iter", self.max_iter)
-        if self.tol <= 0:
-            raise ArgumentError("tol must be positive")
+        check_real("tol", self.tol, 0)
 
 
 @dataclass(frozen=True)
@@ -92,14 +79,10 @@ class IrlsConfig:
     cg_max: int = 2000
 
     def __post_init__(self):
-        _require_finite(self)
-        if not 0.0 < self.p < 1.0:
-            raise ArgumentError("p must lie in (0, 1)")
-        if self.nu <= 0:
-            raise ArgumentError("nu must be positive")
+        check_real("p", self.p, 0, 1)
+        check_real("nu", self.nu, 0)
         check_sizes("outer_max and cg_max", self.outer_max, self.cg_max)
-        if self.cg_tol <= 0:
-            raise ArgumentError("cg_tol must be positive")
+        check_real("cg_tol", self.cg_tol, 0)
 
 
 @dataclass(frozen=True)

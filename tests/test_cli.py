@@ -1,4 +1,5 @@
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -140,30 +141,21 @@ class TestFlagTable:
         one_line_error(capsys, "'--seed' given twice")
         assert not out.exists()
 
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
     def test_readme_tables_match_usage(self):
-        """README's flag tables hold, row by row, the flags `--help` prints."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        lines = []
-        for block in readme.split("```")[1::2]:
-            for raw in block.splitlines():
-                if raw[:1].isspace() and lines:
-                    lines[-1] += raw  # a wrapped row
-                else:
-                    lines.append(raw)
-        rows = [" ".join(line.split()) for line in lines]
-        usage = [" ".join(line.split()) for line in cli._usage().splitlines()]
-        for sub, flags in cli._FLAGS.items():
-            row = f"{sub} {cli._flag_list(*flags)}"
-            assert row in usage
-            assert row in rows, f"README lacks the row '{row}'"
-        for sub, (choice, table) in cli._CHOICES.items():
-            for value in table:
-                head = f"{sub} --{choice} {value} "
-                want = [r[len(head + "also reads "):] for r in usage if r.startswith(head)]
-                got = [r[len(head):].removeprefix("(default) ") for r in rows
-                       if r.startswith(head)]
-                assert len(want) == 1
-                assert got == want, f"README's '{head}' row lists {got}, not {want}"
+        """README holds the `--help` text word for word."""
+        assert f"```\n{cli._usage()}\n```" in self.README
+
+    def test_readme_examples_parse(self):
+        """Every command in README's "CLI examples" block, with backslash
+        continuations joined, is one that `parse_args` accepts."""
+        block = self.README.split("## CLI examples")[1].split("```")[1]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("demixcs ")]
+        assert len(commands) == 6
+        for command in commands:
+            assert parse_args(shlex.split(command)[1:]).subcommand == command.split()[1]
 
     def test_table_usage_and_parsers_agree(self):
         accepted = {name for required, optional in cli._FLAGS.values()
@@ -378,7 +370,8 @@ class TestInputFailures:
         ("[y]\n", "[notes]\nhello\n[y]\n", r"unknown block '\[notes\]'"),
         # headers that gen would refuse
         ("s = 1\n", "s = 99\n", r"signal sparsity 99 outside \[0, 32\]"),
-        ("noise_amp = 0.0\n", "noise_amp = -1.0\n", "noise_amp must be finite"),
+        ("noise_amp = 0.0\n", "noise_amp = -1.0\n",
+         r"noise_amp must be a finite number in \[0, inf\), got -1.0"),
         ("setting = gaussian\n", "setting = bogus\n", "unknown setting 'bogus'"),
         # headers naming a model that cannot be built
         ("family = modulated-hadamard\n", "family = subsampled-hadamard\n",
@@ -507,6 +500,11 @@ class TestInputFailures:
         (["--s", "1", "--k", "1", "--lambda", "0"], 1, "ArgumentError"),
         (["--s", "1,2", "--k", "1"], 2, "--s"),
         (["--s", "1", "--k", "1:2"], 2, "--k"),
+        # lambda ** 2 * k overflows, and underflows to 0
+        (["--s", "1", "--k", "1", "--lambda", "1e160"], 1,
+         "ArgumentError: lambda_reg ** 2 * k (lambda_reg=1e+160, k=1) must be a finite number"),
+        (["--s", "1", "--k", "1", "--lambda", "1e-170"], 1,
+         "ArgumentError: lambda_reg ** 2 * k (lambda_reg=1e-170, k=1) must be a finite number"),
     ])
     def test_bad_certificate_arguments(self, tmp_path, capsys, flags, code, name):
         out = tmp_path / "out"
@@ -525,6 +523,7 @@ class TestInputFailures:
         ["--theorem", "3", "--delta", "1", "--n", "8", "--mu-g", "1"],
         ["--theorem", "3", "--delta", "1e308", "--n", "8", "--mu-g", "1"],
         ["--theorem", "3", "--delta", "0.5", "--n", "1" + "0" * 400, "--mu-g", "1"],
+        ["--theorem", "2", "--delta", "0.5", "--ntilde", "1" + "0" * 400, "--mu-b", "1"],
     ])
     def test_bad_bound_arguments(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
@@ -590,7 +589,7 @@ class TestInputFailures:
         (STAB[:-4] + ["--s", "1", "--k", "1", "--eps", "-0.1,0", "--trials", "2"],
          "noise_amp"),
         (STAB + ["--s", "-1", "--k", "1"], "sparsity"),
-        (RIP + ["--s", "-1", "--k", "1"], "s=-1"),
+        (RIP + ["--s", "-1", "--k", "1"], "s and k must be positive integers, got -1"),
         (GEN + ["--s", "1", "--k", "1", "--setting", "weird"], "weird"),
         (["model", *N60], "power"),
         (["gen", *N60, "--s", "1", "--k", "1"], "power"),

@@ -1,3 +1,4 @@
+import re
 import threading
 import xml.etree.ElementTree as ET
 from dataclasses import fields, make_dataclass, replace
@@ -340,6 +341,23 @@ def test_master_seed_must_be_a_nonnegative_integer(seed):
     for spec in (stab, tiny_pt_spec()):
         with pytest.raises(ArgumentError, match=f"seed {seed!r} and path"):
             replace(spec, master_seed=seed)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0, "1", True, float("nan")])
+def test_stability_spec_checks_its_lambda_when_built(lam):
+    message = f"lambda_reg must be a finite number in (0, inf), got {lam!r}"
+    with pytest.raises(ArgumentError, match=re.escape(message)):
+        StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                      eps_values=(0.0,), trials=2, lambda_reg=lam, master_seed=0)
+
+
+def test_stability_spec_refuses_a_solver_cfg_epsilon_it_would_replace():
+    # each cell solves with epsilon = its eps_ball, so another epsilon would
+    # change the spec's digest and nothing else
+    cfg = replace(FAST_CFG, epsilon=0.5)
+    with pytest.raises(ArgumentError, match="solver_cfg.epsilon must be 0, .* got 0.5"):
+        StabilitySpec(family="modulated-hadamard", n=32, m=16, s=1, k=1,
+                      eps_values=(0.0,), trials=2, solver_cfg=cfg, master_seed=0)
 
 
 def test_specs_reject_a_solver_cfg_with_another_lambda():

@@ -22,7 +22,7 @@ from demixcs import (
     materialize,
     power_iteration,
 )
-from demixcs.linop import _fwht
+from demixcs.linop import _fwht, check_real, check_sizes
 from demixcs.models import build_family, build_modulated_hadamard
 from demixcs.solvers import (
     IrlsConfig,
@@ -423,6 +423,54 @@ class TestValidation:
     def test_refused_arrays(self, build, message):
         with pytest.raises(ArgumentError, match=re.escape(message)):
             build()
+
+    # (value, low, high, ends, accepted): each end open and closed, and the
+    # values no interval takes
+    @pytest.mark.parametrize("value, low, high, ends, accepted", [
+        (0.0, 0, 1, "()", False),
+        (0.0, 0, 1, "[)", True),
+        (1.0, 0, 1, "()", False),
+        (1.0, 0, 1, "(]", True),
+        (0.5, 0, 1, "()", True),
+        (0, 0, 1, "[]", True),
+        (1, 0, 1, "[]", True),
+        (-5e-324, 0, 1, "[]", False),
+        (1e308, 0, float("inf"), "()", True),
+        (np.float32(0.5), 0, 1, "()", True),
+        (np.float32(np.inf), 0, float("inf"), "(]", False),
+        (np.int64(3), 0, float("inf"), "()", True),
+        (float("nan"), 0, 1, "[]", False),
+        (float("inf"), 0, float("inf"), "[]", False),
+        (float("-inf"), float("-inf"), 0, "[]", False),
+        (True, 0, 1, "[]", False),
+        ("0.5", 0, 1, "[]", False),
+        (None, 0, 1, "[]", False),
+        (10 ** 309, 0, float("inf"), "()", False),
+        (-10 ** 309, float("-inf"), 0, "()", False),
+    ])
+    def test_check_real(self, value, low, high, ends, accepted):
+        if accepted:
+            assert check_real("v", value, low, high, ends) is None
+            return
+        interval = f"{ends[0]}{low:g}, {high:g}{ends[1]}"
+        message = f"v must be a finite number in {interval}, got {value!r}"
+        with pytest.raises(ArgumentError, match=re.escape(message) + "$"):
+            check_real("v", value, low, high, ends)
+
+    def test_check_real_defaults_to_an_open_ray(self):
+        check_real("v", 5e-324, 0)
+        message = "v must be a finite number in (0, inf), got 0"
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            check_real("v", 0, 0)
+
+    @pytest.mark.parametrize("value", [0, -1, 1.0, True, 10 ** 309, np.int64(-2)])
+    def test_check_sizes_refusals(self, value):
+        message = f"n must be positive integers, got {value!r}"
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            check_sizes("n", value)
+
+    def test_check_sizes_takes_any_float_sized_integer(self):
+        check_sizes("n", 1, np.int64(2), 10 ** 308)
 
     def test_complex_entries_are_not_copied(self):
         matrix, diag = np.eye(2, dtype=np.complex128), np.ones(2, dtype=np.complex128)

@@ -34,9 +34,14 @@ class TestGolay:
         assert np.array_equal(golay_sequence(1), [1, 1])
 
     def test_q0_rejected(self):
-        with pytest.raises(ArgumentError, match="q >= 1"):
+        message = "golay_sequence q must be positive integers, got 0"
+        with pytest.raises(ArgumentError, match=message):
             golay_sequence(0)
 
+    @pytest.mark.parametrize("q", [True, 1.5, 2.0, -1])
+    def test_q_must_be_a_positive_integer(self, q):
+        with pytest.raises(ArgumentError, match=f"q must be positive integers, got {q!r}"):
+            golay_sequence(q)
     def test_flat_spectrum_q1_through_q8(self):
         # |A(w)|^2 <= 2n at every frequency: what the cs-ofdm and drpe
         # coherence bounds rest on
@@ -302,6 +307,14 @@ class TestGenInstance:
         model = build_modulated_hadamard(32, 16, seed=0)
         with pytest.raises(ArgumentError, match="noise_amp"):
             gen_instance(model, 1, 1, "gaussian", amp, seed=2)
+
+    def test_noise_amplitude_interval_is_closed_at_zero(self):
+        model = build_modulated_hadamard(32, 16, seed=0)
+        for amp in (0, 0.0, 1e308):
+            assert gen_instance(model, 1, 1, "gaussian", amp, seed=2).noise_amp == amp
+        with pytest.raises(ArgumentError,
+                           match=r"noise_amp must be a finite number in \[0, inf\), got -5e-324"):
+            gen_instance(model, 1, 1, "gaussian", -5e-324, seed=2)
 
     @pytest.mark.parametrize("seed", [1.5, True, -1])
     def test_draw_seed_must_be_a_nonnegative_integer(self, seed):

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -221,8 +223,60 @@ class TestRipInputs:
 
     @pytest.mark.parametrize("s, k", [(1.5, 1), (1, True), (0, 1), (np.int64(1), 1.0)])
     def test_threshold_sparsities_must_be_integers(self, s, k):
-        with pytest.raises(ArgumentError, match="need integers s, k >= 1"):
+        bad = k if s == 1 else s  # each case has one bad sparsity
+        with pytest.raises(ArgumentError,
+                           match=re.escape(f"s and k must be positive integers, got {bad!r}")):
             recovery_threshold(s, k, 1.0)
+
+    # a lambda whose lambda**2 * k overflows or underflows the float range
+    @pytest.mark.parametrize("lam, k, lk", [(1e160, 1, "inf"), (1e154, 2, "inf"),
+                                            (1e-170, 1, "0.0"), (10 ** 160, 1, "1000")])
+    def test_threshold_weight_must_stay_in_float_range(self, lam, k, lk):
+        message = (f"lambda_reg ** 2 * k (lambda_reg={lam!r}, k={k}) "
+                   f"must be a finite number in (0, inf), got {lk}")
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            recovery_threshold(1, k, lam)
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            certify_uniqueness(custom_model(HADAMARD2, np.eye(2)), 1, k, lam)
+
+    @pytest.mark.parametrize("lam", [1e-150, 1e150, 7])
+    def test_threshold_takes_weights_whose_square_is_a_float(self, lam):
+        rep = recovery_threshold(1, 1, lam)
+        lk = lam ** 2
+        assert rep.eta == (1 + lk) / min(1, lk)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: recovery_threshold(1, 1, "1"),
+         "lambda_reg must be a finite number in (0, inf), got '1'"),
+        (lambda: recovery_threshold(1, 1, True),
+         "lambda_reg must be a finite number in (0, inf), got True"),
+        (lambda: sample_bound_modulated_frame(1, 1, 8, 0.5, "0.5"),
+         "delta must be a finite number in (0, 1), got '0.5'"),
+        (lambda: sample_bound_modulated_frame(1, 1, 8, None, 0.5),
+         "mu_b must be a finite number in (0, 1], got None"),
+        (lambda: sample_bound_subsampled(1, 1, 8, "0.5", 0.5),
+         "mu_g must be a finite number in (0, 1], got '0.5'"),
+        (lambda: sample_bound_modulated_frame(True, 1, 8, 0.5, 0.5),
+         "s, k and n_tilde must be positive integers, got True"),
+        (lambda: sample_bound_modulated_frame(1.5, 1, 8, 0.5, 0.5),
+         "s, k and n_tilde must be positive integers, got 1.5"),
+        (lambda: sample_bound_subsampled(1, 1, 8.5, 0.5, 0.5),
+         "s, k and n must be positive integers, got 8.5"),
+        (lambda: sample_bound_subsampled(1, 1, 10 ** 400, 0.5, 0.5),
+         "s, k and n must be positive integers, got 1000"),
+    ])
+    def test_calculator_refusals(self, call, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            call()
+
+    def test_bounds_take_their_closed_ends(self):
+        # mu up to and including 1, delta inside (0, 1), counts from 1
+        sample_bound_modulated_frame(1, 1, 1, 1, 1 - 2 ** -53)
+        sample_bound_subsampled(1, 1, 1, 1.0, 5e-324)
+        sample_bound_subsampled(np.int64(1), np.int32(1), np.int64(8), 1.0, 0.5)
+        for mu in (0, 1 + 2 ** -52):
+            with pytest.raises(ArgumentError, match="in \\(0, 1\\]"):
+                sample_bound_subsampled(1, 1, 8, mu, 0.5)
 
     def test_threshold_takes_numpy_integers(self):
         assert recovery_threshold(np.int64(2), np.int32(3), 1.0) == recovery_threshold(2, 3, 1.0)
@@ -341,6 +395,15 @@ class TestCertifyUniqueness:
         assert rep.delta_2s2k == pytest.approx(direct.delta, abs=1e-12)
         assert rep.skrip == direct
 
+    def test_certificate_reads_its_search(self):
+        # delta_2s2k and satisfied are read from `skrip`, never stored
+        rep = certify_uniqueness(build_cs_ofdm(32, 32, seed=11), 1, 1, 1.0)
+        assert rep.delta_2s2k == rep.skrip.delta
+        assert rep.satisfied is (rep.skrip.delta < rep.threshold)
+        assert [f.name for f in fields(rep)] == ["eta", "threshold", "skrip"]
+        base = recovery_threshold(1, 1, 1.0)
+        assert base.skrip is base.delta_2s2k is base.satisfied is None
+
     def test_threshold_field_matches_formula(self):
         model = custom_model(HADAMARD2, np.eye(2))
         rep = certify_uniqueness(model, 1, 1, 1.0)
@@ -379,7 +442,7 @@ class TestSampleBounds:
 
     def test_subsampled_record_fields(self):
         rec = sample_bound_subsampled(2, 2, 512, 1 / np.sqrt(512), 0.5)
-        assert rec.m_signal == pytest.approx(max(rec.m_signal_terms))
+        assert rec.m_signal == max(rec.m_signal_terms)
         assert len(rec.m_signal_terms) == 3
         assert rec.m_corruption > 0 and rec.m_upper == pytest.approx(0.25 * 512)
 

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -487,25 +488,49 @@ class TestIrls:
 
 
 @pytest.mark.parametrize("cls, bad, message", [
-    (PenalizedL1Config, dict(lambda_reg=0.0), "lambda_reg must be positive"),
-    (PenalizedL1Config, dict(epsilon=-0.1), "epsilon must be nonnegative"),
-    (PenalizedL1Config, dict(tol=0.0), "tol must be positive"),
+    (PenalizedL1Config, dict(lambda_reg=0.0),
+     "lambda_reg must be a finite number in (0, inf), got 0.0"),
+    (PenalizedL1Config, dict(epsilon=-0.1),
+     "epsilon must be a finite number in [0, inf), got -0.1"),
+    (PenalizedL1Config, dict(tol=0.0), "tol must be a finite number in (0, inf), got 0.0"),
     (PenalizedL1Config, dict(max_iter=0), "max_iter must be positive integers, got 0"),
     (PenalizedL1Config, dict(max_iter=2.5), "max_iter must be positive integers, got 2.5"),
     (PenalizedL1Config, dict(max_iter=True), "max_iter must be positive integers, got True"),
-    (IrlsConfig, dict(nu=0.0), "nu must be positive"),
+    (IrlsConfig, dict(nu=0.0), "nu must be a finite number in (0, inf), got 0.0"),
     (IrlsConfig, dict(outer_max=2.5), "outer_max and cg_max must be positive integers, got 2.5"),
     (IrlsConfig, dict(cg_max=True), "outer_max and cg_max must be positive integers, got True"),
-    (PenalizedL1Config, dict(lambda_reg="1"), "lambda_reg must be a finite number, got '1'"),
-    (PenalizedL1Config, dict(epsilon=True), "epsilon must be a finite number, got True"),
-    (IrlsConfig, dict(p="0.5"), "p must be a finite number, got '0.5'"),
-    (IrlsConfig, dict(cg_tol=None), "cg_tol must be a finite number, got None"),
-    (PenalizedL1Config, dict(lambda_reg=10 ** 400), "lambda_reg must be a finite number, got 1000"),
+    (PenalizedL1Config, dict(lambda_reg="1"),
+     "lambda_reg must be a finite number in (0, inf), got '1'"),
+    (PenalizedL1Config, dict(epsilon=True),
+     "epsilon must be a finite number in [0, inf), got True"),
+    (IrlsConfig, dict(p="0.5"), "p must be a finite number in (0, 1), got '0.5'"),
+    (IrlsConfig, dict(cg_tol=None), "cg_tol must be a finite number in (0, inf), got None"),
+    (PenalizedL1Config, dict(lambda_reg=10 ** 400),
+     "lambda_reg must be a finite number in (0, inf), got 1000"),
 ])
 def test_config_refusals(cls, bad, message):
     base = {"lambda_reg": 1.0} if cls is PenalizedL1Config else {}
-    with pytest.raises(ArgumentError, match=message):
+    with pytest.raises(ArgumentError, match=re.escape(message)):
         cls(**{**base, **bad})
+
+
+# (class, field, refused endpoint or value, accepted values): each field's
+# interval, as the configs have always taken it
+@pytest.mark.parametrize("cls, name, refused, accepted", [
+    (PenalizedL1Config, "lambda_reg", 0.0, (5e-324, 1, np.float32(2.0), 1e308)),
+    (PenalizedL1Config, "epsilon", -5e-324, (0, 0.0, 1e308)),
+    (PenalizedL1Config, "tol", 0.0, (5e-324, 1.0)),
+    (IrlsConfig, "p", 0.0, (5e-324, 0.5, 1 - 2 ** -53)),
+    (IrlsConfig, "p", 1.0, ()),
+    (IrlsConfig, "nu", 0, (5e-324, 1e308)),
+    (IrlsConfig, "cg_tol", 0.0, (5e-324, 0.5)),
+])
+def test_real_field_endpoints(cls, name, refused, accepted):
+    base = {"lambda_reg": 1.0} if cls is PenalizedL1Config else {}
+    for value in accepted:
+        assert getattr(cls(**{**base, name: value}), name) == value
+    with pytest.raises(ArgumentError, match=f"{name} must be a finite number in .*got {refused}"):
+        cls(**{**base, name: refused})
 
 
 class TestConfigFiniteness:
